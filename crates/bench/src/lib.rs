@@ -34,18 +34,16 @@ pub fn bench_scenario(pattern: PatternSpec, policy: PolicySpec) -> ScenarioConfi
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     }
 }
 
 /// A background-dominated variant of [`bench_scenario`]: same pipeline,
 /// but ambient load at 45 % per node, so `BgPoll`/background-dispatch
 /// volume dominates the event budget. This is the case the background
-/// fast path targets; benched with the fast path both on and off.
-pub fn bench_bg_heavy_scenario(bg_fast_path: bool) -> ScenarioConfig {
+/// fast path targets.
+pub fn bench_bg_heavy_scenario() -> ScenarioConfig {
     ScenarioConfig {
         ambient_util: 0.45,
-        bg_fast_path,
         ..bench_scenario(
             PatternSpec::Triangular { half_period: 5 },
             PolicySpec::Predictive,
@@ -57,10 +55,9 @@ pub fn bench_bg_heavy_scenario(bg_fast_path: bool) -> ScenarioConfig {
 /// the large-cluster scaling case, where background event volume grows
 /// linearly with node count and every node is eligible for boundary
 /// elision. Returns the metrics so benches can keep the result live.
-pub fn run_large_cluster(n_nodes: usize, bg_fast_path: bool) -> RunMetrics {
+pub fn run_large_cluster(n_nodes: usize) -> RunMetrics {
     let mut cfg = ClusterConfig::paper_baseline(0xC1_05E ^ n_nodes as u64, SimDuration::from_secs(20));
     cfg.n_nodes = n_nodes;
-    cfg.bg_fast_path = bg_fast_path;
     let mut cluster = Cluster::new(cfg);
     for n in 0..n_nodes {
         cluster.add_load(Box::new(PoissonLoad::with_utilization(

@@ -31,7 +31,7 @@ use crate::config::ArmConfig;
 use crate::eqf::{assign_deadlines, try_assign_deadlines, DeadlineAssignment};
 use crate::monitor::{assess_stage, SlackTracker};
 use crate::nonpredictive::shutdown_a_replica;
-use crate::predictive::{replicate_subtask_with, ReplicateFailure, ReplicationRequest};
+use crate::predictive::{replicate_subtask, ReplicateFailure, ReplicationRequest};
 use crate::predictor::Predictor;
 
 /// Decentralized per-stage management with stale state dissemination.
@@ -197,10 +197,11 @@ impl Controller for DecentralizedManager {
                             budget,
                             slack: budget.mul_f64(self.cfg.monitor.slack_fraction),
                         };
-                        let new = match replicate_subtask_with(
+                        let new = match replicate_subtask(
                             &req,
                             &self.predictor,
                             self.cfg.processor_choice,
+                            None,
                         ) {
                             Ok(ps) => ps,
                             Err(ReplicateFailure::OutOfProcessors { best_effort, .. }) => {

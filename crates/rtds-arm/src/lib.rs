@@ -64,6 +64,6 @@ pub mod prelude {
     pub use crate::monitor::{assess_stage, classify, MonitorConfig, SlackTracker, StageHealth};
     pub use crate::nonpredictive::{replicate_subtask_incremental, replicate_subtask_nonpredictive, shutdown_a_replica};
     pub use crate::online::OnlineRefiner;
-    pub use crate::predictive::{replicate_subtask, replicate_subtask_audited, replicate_subtask_with, CandidateStep, ProcessorChoice, ReplicateFailure, ReplicationRequest};
+    pub use crate::predictive::{replicate_subtask, CandidateStep, ProcessorChoice, ReplicateFailure, ReplicationRequest};
     pub use crate::predictor::{analytic_predictor, Predictor};
 }

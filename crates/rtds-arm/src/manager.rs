@@ -28,9 +28,7 @@ use crate::eqf::{assign_deadlines, try_assign_deadlines, DeadlineAssignment};
 use crate::monitor::{assess_stage, SlackTracker, StageHealth};
 use crate::nonpredictive::{replicate_subtask_incremental, replicate_subtask_nonpredictive, shutdown_a_replica};
 use crate::online::OnlineRefiner;
-use crate::predictive::{
-    replicate_subtask_audited, replicate_subtask_with, ReplicateFailure, ReplicationRequest,
-};
+use crate::predictive::{replicate_subtask, ReplicateFailure, ReplicationRequest};
 use crate::predictor::Predictor;
 
 /// Per-allocation audit scratch: what `allocate` examined, for the
@@ -253,22 +251,16 @@ impl ResourceManager {
                     budget,
                     slack: budget.mul_f64(self.cfg.monitor.slack_fraction),
                 };
-                let outcome = match audit.as_deref_mut() {
-                    Some(a) => {
-                        let mut trail = Vec::new();
-                        let r = replicate_subtask_audited(
-                            &req,
-                            &self.predictor,
-                            self.cfg.processor_choice,
-                            &mut trail,
-                        );
-                        a.candidates = trail.into_iter().map(CandidateForecast::from).collect();
-                        r
-                    }
-                    None => {
-                        replicate_subtask_with(&req, &self.predictor, self.cfg.processor_choice)
-                    }
-                };
+                let mut trail = audit.is_some().then(Vec::new);
+                let outcome = replicate_subtask(
+                    &req,
+                    &self.predictor,
+                    self.cfg.processor_choice,
+                    trail.as_mut(),
+                );
+                if let (Some(a), Some(trail)) = (audit.as_deref_mut(), trail) {
+                    a.candidates = trail.into_iter().map(CandidateForecast::from).collect();
+                }
                 match outcome {
                     Ok(ps) => ps,
                     Err(ReplicateFailure::OutOfProcessors { best_effort, .. }) => {

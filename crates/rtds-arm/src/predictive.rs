@@ -91,11 +91,42 @@ impl ProcessorChoice {
     }
 }
 
+/// One candidate processor examined by an audited Fig. 5 run: the node,
+/// the utilization it was picked at, its own forecast with the enlarged
+/// replica set, the worst forecast across that set, and whether the set
+/// was accepted (forecast within threshold) at that size.
+#[derive(Debug, Clone, PartialEq)]
+#[derive(serde::Serialize, serde::Deserialize)]
+pub struct CandidateStep {
+    /// The processor added at this step.
+    pub node: NodeId,
+    /// Its observed utilization at selection time, percent.
+    pub util_pct: f64,
+    /// Forecast execution latency of this node's replica (Eq. (3)), ms.
+    pub eex_ms: f64,
+    /// Forecast inbound communication delay (Eqs. (4)–(6)), ms; 0 for
+    /// stage 0, which has no inbound message.
+    pub ecd_ms: f64,
+    /// Worst replica forecast across the whole enlarged set, ms — the
+    /// value Fig. 5 compares against the threshold.
+    pub worst_total_ms: f64,
+    /// Whether the enlarged set satisfied `worst ≤ budget − slack`.
+    pub accepted: bool,
+}
+
 /// Fig. 5. Returns the satisfying replica set (a strict superset of
-/// `current`, in utilization-greedy order) or a failure.
+/// `current`, in the order `choice` picks hosts) or a failure.
+///
+/// `choice` is the host-selection rule: the paper's rule is
+/// [`ProcessorChoice::LeastUtilized`]; the others are ablations. When
+/// `audit` is given, every processor examined is appended to it with its
+/// forecast against the threshold. The decision is identical with or
+/// without the audit trail — it only records what the algorithm computes
+/// anyway (plus the added node's own eex/ecd split, derived from the same
+/// predictor calls).
 ///
 /// ```
-/// use rtds_arm::predictive::{replicate_subtask, ReplicationRequest};
+/// use rtds_arm::predictive::{replicate_subtask, ProcessorChoice, ReplicationRequest};
 /// use rtds_arm::predictor::analytic_predictor;
 /// use rtds_dynbench::app::aaw_task;
 /// use rtds_regression::{BufferDelayModel, CommDelayModel};
@@ -120,64 +151,13 @@ impl ProcessorChoice {
 ///         slack: budget.mul_f64(0.2),
 ///     },
 ///     &predictor,
+///     ProcessorChoice::LeastUtilized,
+///     None,
 /// )
 /// .expect("an idle cluster can absorb this");
 /// assert!(ps.len() >= 2 && ps[0] == NodeId(2));
 /// ```
 pub fn replicate_subtask(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_with(req, predictor, ProcessorChoice::LeastUtilized)
-}
-
-/// One candidate processor examined by an audited Fig. 5 run: the node,
-/// the utilization it was picked at, its own forecast with the enlarged
-/// replica set, the worst forecast across that set, and whether the set
-/// was accepted (forecast within threshold) at that size.
-#[derive(Debug, Clone, PartialEq)]
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct CandidateStep {
-    /// The processor added at this step.
-    pub node: NodeId,
-    /// Its observed utilization at selection time, percent.
-    pub util_pct: f64,
-    /// Forecast execution latency of this node's replica (Eq. (3)), ms.
-    pub eex_ms: f64,
-    /// Forecast inbound communication delay (Eqs. (4)–(6)), ms; 0 for
-    /// stage 0, which has no inbound message.
-    pub ecd_ms: f64,
-    /// Worst replica forecast across the whole enlarged set, ms — the
-    /// value Fig. 5 compares against the threshold.
-    pub worst_total_ms: f64,
-    /// Whether the enlarged set satisfied `worst ≤ budget − slack`.
-    pub accepted: bool,
-}
-
-/// Fig. 5 with an explicit host-selection rule (ablation entry point).
-pub fn replicate_subtask_with(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-    choice: ProcessorChoice,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_core(req, predictor, choice, None)
-}
-
-/// Fig. 5 with a per-candidate audit trail: every processor examined is
-/// appended to `audit` with its forecast against the threshold. The
-/// decision is **identical** to [`replicate_subtask_with`] — the audit
-/// only records what the algorithm computed anyway (plus the added
-/// node's own eex/ecd split, derived from the same predictor calls).
-pub fn replicate_subtask_audited(
-    req: &ReplicationRequest<'_>,
-    predictor: &Predictor,
-    choice: ProcessorChoice,
-    audit: &mut Vec<CandidateStep>,
-) -> Result<Vec<NodeId>, ReplicateFailure> {
-    replicate_subtask_core(req, predictor, choice, Some(audit))
-}
-
-fn replicate_subtask_core(
     req: &ReplicationRequest<'_>,
     predictor: &Predictor,
     choice: ProcessorChoice,
@@ -280,6 +260,7 @@ pub fn worst_forecast_ms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ProcessorChoice::LeastUtilized;
     use crate::predictor::analytic_predictor;
     use rtds_dynbench::app::aaw_task;
     use rtds_regression::buffer::{BufferDelayModel, CommDelayModel};
@@ -321,7 +302,7 @@ mod tests {
         let utils = [5.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 10_000, 200.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LeastUtilized, None).unwrap();
         assert_eq!(ps.len(), 2, "one extra replica should suffice: {ps:?}");
         assert_eq!(ps[0], NodeId(2), "original stays first");
     }
@@ -333,7 +314,7 @@ mod tests {
         let utils = [5.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 100, 900.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LeastUtilized, None).unwrap();
         assert_eq!(ps.len(), 2);
     }
 
@@ -343,7 +324,7 @@ mod tests {
         let current = [NodeId(2)];
         // Big load, small budget: forces several additions.
         let r = req(&current, &utils, 16_000, 260.0);
-        let ps = replicate_subtask(&r, &predictor()).unwrap();
+        let ps = replicate_subtask(&r, &predictor(), LeastUtilized, None).unwrap();
         // Greedy order after the original (node 2): 4 (5 %), 1 (10 %), ...
         assert_eq!(ps[0], NodeId(2));
         assert_eq!(ps[1], NodeId(4));
@@ -358,7 +339,7 @@ mod tests {
         let current = [NodeId(0)];
         let mut r = req(&current, &utils, 17_500, 100.0);
         r.node_util_pct = &utils;
-        match replicate_subtask(&r, &predictor()) {
+        match replicate_subtask(&r, &predictor(), LeastUtilized, None) {
             Err(ReplicateFailure::OutOfProcessors {
                 best_effort,
                 worst_forecast_ms,
@@ -374,12 +355,11 @@ mod tests {
     fn higher_budget_needs_fewer_replicas() {
         let utils = [10.0; 6];
         let current = [NodeId(2)];
-        let tight = replicate_subtask(&req(&current, &utils, 14_000, 250.0), &predictor())
-            .map(|p| p.len())
-            .unwrap_or(6);
-        let loose = replicate_subtask(&req(&current, &utils, 14_000, 800.0), &predictor())
-            .map(|p| p.len())
-            .unwrap_or(6);
+        let replicas = |budget_ms| {
+            let r = req(&current, &utils, 14_000, budget_ms);
+            replicate_subtask(&r, &predictor(), LeastUtilized, None).map_or(6, |p| p.len())
+        };
+        let (tight, loose) = (replicas(250.0), replicas(800.0));
         assert!(loose <= tight, "loose budget {loose} vs tight {tight}");
     }
 
@@ -426,7 +406,7 @@ mod tests {
         let current = [NodeId(2)];
         let r = req(&current, &utils, 12_000, 400.0);
         let ps =
-            replicate_subtask_with(&r, &predictor(), ProcessorChoice::FirstAvailable).unwrap();
+            replicate_subtask(&r, &predictor(), ProcessorChoice::FirstAvailable, None).unwrap();
         // FirstAvailable adds node 0 (busiest!) before node 1.
         assert_eq!(ps[1], NodeId(0));
     }
@@ -436,23 +416,12 @@ mod tests {
         let utils = [10.0; 6];
         let current = [NodeId(2)];
         let r = req(&current, &utils, 12_000, 400.0);
-        let a = replicate_subtask_with(&r, &predictor(), ProcessorChoice::Pseudorandom).unwrap();
-        let b = replicate_subtask_with(&r, &predictor(), ProcessorChoice::Pseudorandom).unwrap();
+        let a = replicate_subtask(&r, &predictor(), ProcessorChoice::Pseudorandom, None).unwrap();
+        let b = replicate_subtask(&r, &predictor(), ProcessorChoice::Pseudorandom, None).unwrap();
         assert_eq!(a, b);
         // Still a valid set.
         let mut seen = std::collections::HashSet::new();
         assert!(a.iter().all(|n| seen.insert(*n)));
-    }
-
-    #[test]
-    fn least_utilized_choice_matches_default_entry_point() {
-        let utils = [50.0, 10.0, 0.0, 30.0, 5.0, 90.0];
-        let current = [NodeId(2)];
-        let r = req(&current, &utils, 16_000, 260.0);
-        let a = replicate_subtask(&r, &predictor()).unwrap();
-        let b =
-            replicate_subtask_with(&r, &predictor(), ProcessorChoice::LeastUtilized).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -461,11 +430,10 @@ mod tests {
         let current = [NodeId(2)];
         let r = req(&current, &utils, 16_000, 260.0);
         let p = predictor();
-        let plain = replicate_subtask(&r, &p).unwrap();
+        let plain = replicate_subtask(&r, &p, LeastUtilized, None).unwrap();
         let mut trail = Vec::new();
         let audited =
-            replicate_subtask_audited(&r, &p, ProcessorChoice::LeastUtilized, &mut trail)
-                .unwrap();
+            replicate_subtask(&r, &p, LeastUtilized, Some(&mut trail)).unwrap();
         assert_eq!(plain, audited, "audit must not change the decision");
         // One step per processor added beyond the original set.
         assert_eq!(trail.len(), audited.len() - current.len());
@@ -490,13 +458,8 @@ mod tests {
         let current = [NodeId(0)];
         let r = req(&current, &utils, 17_500, 100.0);
         let mut trail = Vec::new();
-        let err = replicate_subtask_audited(
-            &r,
-            &predictor(),
-            ProcessorChoice::LeastUtilized,
-            &mut trail,
-        )
-        .unwrap_err();
+        let err = replicate_subtask(&r, &predictor(), LeastUtilized, Some(&mut trail))
+            .unwrap_err();
         assert!(matches!(err, ReplicateFailure::OutOfProcessors { .. }));
         assert_eq!(trail.len(), 2, "both extra processors were examined");
         assert!(trail.iter().all(|s| !s.accepted));
@@ -507,6 +470,6 @@ mod tests {
     fn empty_replica_set_panics() {
         let utils = [0.0; 6];
         let r = req(&[], &utils, 100, 100.0);
-        let _ = replicate_subtask(&r, &predictor());
+        let _ = replicate_subtask(&r, &predictor(), LeastUtilized, None);
     }
 }

@@ -115,7 +115,6 @@ fn measure_point(
         max_in_flight: 8,
         release_jitter_us: 0,
         horizon,
-        bg_fast_path: true,
     };
     config.bus.per_message_overhead_bytes = 0;
 
@@ -267,7 +266,6 @@ fn observe_stage_delays(
         max_in_flight: 8,
         release_jitter_us: 0,
         horizon: period * (n_periods + 2),
-        bg_fast_path: true,
     };
     let mut cluster = Cluster::new(config);
     cluster.add_task(crate::app::two_stage_task(), Box::new(move |_| tracks));

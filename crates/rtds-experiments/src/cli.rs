@@ -58,7 +58,6 @@ pub fn parse(args: &[String]) -> Result<RunOptions, String> {
             "--analytic" => options.fitted_models = false,
             "--extended" => extended = true,
             "--perf" => perf = true,
-            "--no-bg-ff" => options.bg_fast_path = false,
             "--out" => {
                 let dir = it.next().ok_or("--out needs a directory")?;
                 options.out_dir = PathBuf::from(dir);
@@ -171,14 +170,12 @@ impl RunOptions {
 
 /// The usage string.
 pub fn usage() -> String {
-    "usage: <figure-bin> [--quick] [--analytic] [--extended] [--perf] [--no-bg-ff]\n\
+    "usage: <figure-bin> [--quick] [--analytic] [--extended] [--perf]\n\
      \x20                [--out DIR] [--threads N] [--trace-out FILE] [--decisions-out FILE]\n\
      --quick     small grids / short runs\n\
      --analytic  use closed-form latency models (skip the profiling campaign)\n\
      --extended  extend the workload axis beyond the paper's range (fig13)\n\
      --perf      instrument simulations; print aggregated perf counters at exit\n\
-     --no-bg-ff  disable the background-load fast path (byte-identical, slower;\n\
-     \x20           A/B verification escape hatch)\n\
      --out DIR   CSV output directory (default: results)\n\
      --threads N sweep parallelism\n\
      --trace-out FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n\
@@ -234,15 +231,8 @@ mod tests {
         assert!(parse(&s(&["--threads", "zero"])).is_err());
         assert!(parse(&s(&["--threads", "0"])).is_err());
         assert!(parse(&s(&["--help"])).is_err());
-    }
-
-    #[test]
-    fn bg_fast_path_defaults_on_and_no_bg_ff_disables_it() {
-        let c = parse(&[]).unwrap();
-        assert!(c.options.bg_fast_path);
-        let c = parse(&s(&["--no-bg-ff"])).unwrap();
-        assert!(!c.options.bg_fast_path);
-        assert!(usage().contains("--no-bg-ff"));
+        // A removed flag fails loudly instead of being silently ignored.
+        assert!(parse(&s(&["--no-bg-ff"])).unwrap_err().contains("usage"));
     }
 
     #[test]

@@ -28,7 +28,6 @@ fn sweep_config(pattern: PatternSpec, opts: &FigureOptions, extended: bool) -> S
         SweepConfig::paper(pattern)
     };
     cfg.threads = opts.threads;
-    cfg.bg_fast_path = opts.bg_fast_path;
     if extended {
         let top = if opts.quick { 40 } else { 50 };
         let step = if opts.quick { 6 } else { 1 };

@@ -48,7 +48,6 @@ fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> Scenario
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: crate::scenario::ObserveConfig::default(),
-        bg_fast_path: opts.bg_fast_path,
     }
 }
 

@@ -26,9 +26,6 @@ pub struct FigureOptions {
     /// Use the profile-fitted predictor (slow first call) instead of the
     /// analytic one.
     pub fitted_models: bool,
-    /// Background-load fast path (`--no-bg-ff` turns it off). Outputs
-    /// are byte-identical either way; off is an A/B escape hatch.
-    pub bg_fast_path: bool,
 }
 
 impl Default for FigureOptions {
@@ -40,7 +37,6 @@ impl Default for FigureOptions {
                 .map(|n| n.get())
                 .unwrap_or(1),
             fitted_models: true,
-            bg_fast_path: true,
         }
     }
 }
@@ -53,7 +49,6 @@ impl FigureOptions {
             out_dir: std::env::temp_dir().join("rtds-experiments").join(tag),
             threads: 2,
             fitted_models: false,
-            bg_fast_path: true,
         }
     }
 

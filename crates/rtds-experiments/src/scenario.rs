@@ -172,10 +172,6 @@ pub struct ScenarioConfig {
     /// (zero observer effect), it only fills [`ScenarioResult::trace`]
     /// and [`ScenarioResult::decisions`].
     pub observe: ObserveConfig,
-    /// Background-load fast path (see `ClusterConfig::bg_fast_path`).
-    /// Byte-identical on or off; off (`--no-bg-ff`) exists for A/B
-    /// verification and debugging. Default: on.
-    pub bg_fast_path: bool,
 }
 
 /// Opt-in observability for one scenario run. Everything defaults to off;
@@ -264,7 +260,6 @@ impl ScenarioConfig {
             failures: Vec::new(),
             faults: FaultPlan::default(),
             observe: ObserveConfig::default(),
-            bg_fast_path: true,
         }
     }
 }
@@ -297,6 +292,24 @@ pub fn replicable_stage_indices() -> [usize; 2] {
 /// policies — the non-predictive algorithm uses it only for EQF deadline
 /// estimation, exactly as §4.1 prescribes).
 pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
+    run_scenario_on(cfg, predictor, Cluster::new)
+}
+
+/// Equivalence oracle only: [`run_scenario`] on a
+/// [`Cluster::reference`] cluster, whose ambient load runs on the
+/// reference heap-event path. Same assembly, same order; the result must
+/// be byte-identical to [`run_scenario`]'s
+/// (`tests/bg_fastpath_equivalence.rs`).
+#[doc(hidden)]
+pub fn run_scenario_reference(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
+    run_scenario_on(cfg, predictor, Cluster::reference)
+}
+
+fn run_scenario_on(
+    cfg: &ScenarioConfig,
+    predictor: &Predictor,
+    build: fn(ClusterConfig) -> Cluster,
+) -> ScenarioResult {
     assert!(cfg.n_periods > 0, "empty scenario");
     assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
     let horizon = SimDuration::from_secs(cfg.n_periods);
@@ -307,8 +320,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
     cluster_cfg.bus.dup_prob = cfg.faults.dup_prob;
     cluster_cfg.bus.retx_timeout_us = cfg.faults.retx_timeout_us;
     cluster_cfg.bus.jam = cfg.faults.jam;
-    cluster_cfg.bg_fast_path = cfg.bg_fast_path;
-    let mut cluster = Cluster::new(cluster_cfg);
+    let mut cluster = build(cluster_cfg);
 
     let task = aaw_task();
     let pattern = cfg.pattern.build(cfg.workload);

@@ -73,9 +73,6 @@ pub struct SweepConfig {
     /// to prove the observer effect is zero — the per-run payloads are
     /// dropped.
     pub observe: ObserveConfig,
-    /// Background-load fast path (see `ScenarioConfig::bg_fast_path`).
-    /// Byte-identical on or off; default on.
-    pub bg_fast_path: bool,
 }
 
 impl SweepConfig {
@@ -93,7 +90,6 @@ impl SweepConfig {
                 .unwrap_or(1),
             faults: FaultPlan::default(),
             observe: ObserveConfig::default(),
-            bg_fast_path: true,
         }
     }
 
@@ -204,7 +200,6 @@ fn run_point(
         failures: Vec::new(),
         faults: cfg.faults.clone(),
         observe: cfg.observe,
-        bg_fast_path: cfg.bg_fast_path,
     };
     let started = std::time::Instant::now();
     let r = run_scenario(&scenario, predictor);

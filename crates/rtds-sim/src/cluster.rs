@@ -63,14 +63,6 @@ pub struct ClusterConfig {
     pub release_jitter_us: u64,
     /// Total simulated time.
     pub horizon: SimDuration,
-    /// Background-load fast path: carry ambient-load polls and the
-    /// dispatch boundaries of background-only nodes on virtual lanes
-    /// instead of heap events (see `docs/SIMULATOR.md`, "Background-load
-    /// fast path"). Byte-identical to the slow path by construction —
-    /// same RNG draws, same `(time, seq)` allocation — so this is an
-    /// escape hatch for debugging and A/B verification, not a semantic
-    /// knob. Default: enabled.
-    pub bg_fast_path: bool,
 }
 
 impl ClusterConfig {
@@ -86,7 +78,6 @@ impl ClusterConfig {
             max_in_flight: 4,
             release_jitter_us: 0,
             horizon,
-            bg_fast_path: true,
         }
     }
 }
@@ -203,6 +194,21 @@ pub struct Cluster {
 impl Cluster {
     /// Builds an empty cluster (no tasks, no load, null controller).
     pub fn new(config: ClusterConfig) -> Self {
+        Self::build(config, true)
+    }
+
+    /// Equivalence oracle only: a cluster that runs ambient load on the
+    /// reference heap-event path (every background poll and background
+    /// slice boundary a real `BgPoll`/`Dispatch` event) instead of on
+    /// virtual lanes. Outputs are byte-identical to [`Cluster::new`];
+    /// `tests/bg_fastpath_equivalence.rs` checks exactly that. Not a
+    /// configuration choice — nothing else should call it.
+    #[doc(hidden)]
+    pub fn reference(config: ClusterConfig) -> Self {
+        Self::build(config, false)
+    }
+
+    fn build(config: ClusterConfig, bg_ff: bool) -> Self {
         assert!(config.n_nodes > 0, "cluster needs at least one node");
         assert!(!config.horizon.is_zero(), "zero horizon");
         assert!(!config.sample_interval.is_zero(), "zero sample interval");
@@ -210,7 +216,7 @@ impl Cluster {
         // Construction order is part of the byte-identity contract: the
         // kernel seeds the RNG and draws the clock model first (the only
         // construction-time draws), exactly as the monolith did.
-        let dispatch = DispatchEngine::new(config.n_nodes, &config.scheduler, config.bg_fast_path);
+        let dispatch = DispatchEngine::new(config.n_nodes, &config.scheduler, bg_ff);
         let net = NetEngine::new(config.bus);
         let kernel = SimKernel::new(config);
         Cluster {
@@ -246,16 +252,7 @@ impl Cluster {
         }
         for g in 0..self.load.gens.len() {
             let at = self.load.gens[g].first_at(&mut self.kernel.rng);
-            if self.dispatch.bg_ff {
-                // Fast path: the poll lives on a virtual lane. Its seq is
-                // allocated exactly where the slow path would schedule it,
-                // so tie-breaking stays bit-identical.
-                let seq = self.kernel.queue.alloc_seq();
-                self.load.polls[g].next = Some((at, seq));
-                self.kernel.lanes.push(at, seq, LaneRef::Poll(g as u32));
-            } else {
-                self.kernel.queue.schedule(at, Ev::BgPoll { gen: g });
-            }
+            self.load.arm_poll(&mut self.kernel, &self.dispatch, at, g);
         }
         self.kernel.queue.schedule(
             SimTime::ZERO + self.kernel.config.sample_interval,
@@ -371,7 +368,7 @@ impl Cluster {
                 }
                 Some(LaneRef::Bound(i)) => {
                     // A background-only node's slice boundary: the same
-                    // `Dispatch` the slow path pops from the heap, fired
+                    // `Dispatch` the reference path pops from the heap, fired
                     // directly through the unmodified handler — off the
                     // event loop entirely (a live boundary implies the
                     // node is still background-only).

@@ -641,6 +641,16 @@ fn failure_realism_runs_are_deterministic() {
     assert_eq!(a.metrics.messages_lost, b.metrics.messages_lost);
 }
 
+/// A cluster on the lane fast path, or on the reference heap-event path
+/// (the equivalence oracle) when `fast` is false.
+fn cluster_on_path(cfg: ClusterConfig, fast: bool) -> Cluster {
+    if fast {
+        Cluster::new(cfg)
+    } else {
+        Cluster::reference(cfg)
+    }
+}
+
 /// Mean of node `n`'s sampled utilization over sample rows
 /// `[from, to)` (rows land every 100 ms).
 fn mean_util(out: &RunOutcome, node: usize, from: usize, to: usize) -> f64 {
@@ -656,9 +666,7 @@ fn background_load_resumes_after_crash_restart() {
     // slack was silently flattered. Utilization before the crash must
     // match utilization after recovery, in both engine modes.
     for fast in [true, false] {
-        let mut cfg = config(30);
-        cfg.bg_fast_path = fast;
-        let mut cl = Cluster::new(cfg);
+        let mut cl = cluster_on_path(config(30), fast);
         cl.add_load(Box::new(PeriodicLoad::new(
             crate::ids::LoadGenId(0),
             NodeId(2),
@@ -692,9 +700,7 @@ fn restart_before_pending_poll_does_not_double_arm() {
     // the restart must not arm a second poll stream. A doubled stream
     // would double the imposed utilization.
     for fast in [true, false] {
-        let mut cfg = config(30);
-        cfg.bg_fast_path = fast;
-        let mut cl = Cluster::new(cfg);
+        let mut cl = cluster_on_path(config(30), fast);
         cl.add_load(Box::new(PeriodicLoad::new(
             crate::ids::LoadGenId(0),
             NodeId(1),
@@ -723,11 +729,10 @@ fn bg_fast_path_is_byte_identical_to_slow_path() {
     // crash–restart, and a lossy duplicating bus.
     let run = |fast: bool| {
         let mut cfg = config(12);
-        cfg.bg_fast_path = fast;
         cfg.bus.drop_prob = 0.15;
         cfg.bus.dup_prob = 0.05;
         cfg.bus.retx_timeout_us = 20_000;
-        let mut cl = Cluster::new(cfg);
+        let mut cl = cluster_on_path(cfg, fast);
         cl.enable_trace(4096);
         cl.add_task(
             tiny_task(&[(2.0, false, 0), (3.0, false, 1)]),

@@ -6,7 +6,7 @@
 //! polls), drives slice-boundary dispatches, and carries the elided
 //! dispatch state of the fast path: per-node [`DispatchChain`]s for lone
 //! jobs and `bg_bounds` for background-only nodes. All `(time, seq)`
-//! allocation happens at the exact program points where the slow path
+//! allocation happens at the exact program points where the reference path
 //! would `schedule`, which is what keeps the two modes byte-identical.
 
 use crate::engine::net::NetEngine;
@@ -71,7 +71,11 @@ pub(crate) struct DispatchEngine {
     /// tie-break slot. Invariant: a node never has both a chain and a
     /// boundary.
     pub bg_bounds: Vec<Option<(SimTime, u64)>>,
-    /// Cached `config.bg_fast_path`.
+    /// The one switch between the two background-load paths: true runs
+    /// background polls and background-only slice boundaries on virtual
+    /// lanes; false (only [`crate::cluster::Cluster::reference`], the
+    /// equivalence oracle) runs them as heap events. Every engine reads
+    /// this field, never a config.
     pub bg_ff: bool,
 }
 
@@ -344,7 +348,7 @@ impl DispatchEngine {
 
     /// Arms the boundary lane for a background-only node's slice end and
     /// returns the (absent) dispatch handle. The seq is allocated at the
-    /// exact program point where the slow path would `schedule`, keeping
+    /// exact program point where the reference path would `schedule`, keeping
     /// tie-break order bit-identical.
     #[inline]
     fn elide_bound(

@@ -143,7 +143,7 @@ impl FaultEngine {
         k.record_trace(now, TraceEvent::NodeRestarted { node });
         // Re-arm the node's background generators that went dormant while
         // it was down: ambient load resumes with the node.
-        load.rearm_dormant(k, now, node);
+        load.rearm_dormant(k, dispatch, now, node);
     }
 }
 
@@ -162,7 +162,7 @@ mod tests {
 
     fn harness() -> (SimKernel, DispatchEngine, NetEngine, LoadEngine, TaskTable, FaultEngine) {
         let cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
-        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, cfg.bg_fast_path);
+        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, true);
         let net = NetEngine::new(cfg.bus);
         let k = SimKernel::new(cfg);
         let mut load = LoadEngine::default();

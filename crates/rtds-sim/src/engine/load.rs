@@ -1,8 +1,9 @@
 //! Background load: ambient-load generators and their poll lanes.
 //!
 //! The [`LoadEngine`] owns the [`LoadGenerator`]s and the per-generator
-//! poll state that drives them — either as real `BgPoll` heap events
-//! (slow path) or as elided polls carried on virtual lanes (fast path).
+//! poll state that drives them — as elided polls carried on virtual lanes
+//! (the fast path), or as real `BgPoll` heap events (the reference path,
+//! run only by the equivalence oracle `Cluster::reference`).
 //! Both paths draw the generator at the same program point with the same
 //! RNG stream, so they are byte-identical by construction.
 
@@ -19,7 +20,7 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PollLane {
     /// Fast path: `(time, seq)` of the next elided poll; `None` when the
-    /// generator is retired (past horizon), dormant, or the slow path
+    /// generator is retired (past horizon), dormant, or the reference path
     /// owns the poll as a real heap event.
     pub next: Option<(SimTime, u64)>,
     /// The generator's node was down when its poll fired; no further
@@ -40,7 +41,7 @@ pub(crate) struct LoadEngine {
 }
 
 impl LoadEngine {
-    /// Slow-path poll (real `BgPoll` heap event): admit the arrival and
+    /// Reference-path poll (real `BgPoll` heap event): admit the arrival and
     /// reschedule.
     pub fn on_bg_poll(
         &mut self,
@@ -58,7 +59,7 @@ impl LoadEngine {
     /// Fast-path poll (virtual lane, no heap event): identical to
     /// [`Self::on_bg_poll`] except the next poll's `(time, seq)` key is
     /// reserved instead of scheduled. The seq allocation sits at the
-    /// exact program point of the slow path's `schedule` — after the
+    /// exact program point of the reference path's `schedule` — after the
     /// admission — so tie-breaking is bit-identical.
     /// Fires an elided poll whose lane entry is still at the top of the
     /// lane heap (the run loop peeks but does not pop). On re-arm the
@@ -130,19 +131,39 @@ impl LoadEngine {
     /// generator whose poll was still pending at restart (crash shorter
     /// than one interarrival gap) is not dormant and needs nothing — its
     /// poll fires normally. Index order keeps the re-arm deterministic.
-    pub fn rearm_dormant(&mut self, k: &mut SimKernel, now: SimTime, node: NodeId) {
+    pub fn rearm_dormant(
+        &mut self,
+        k: &mut SimKernel,
+        dispatch: &DispatchEngine,
+        now: SimTime,
+        node: NodeId,
+    ) {
         for g in 0..self.gens.len() {
             if self.gens[g].node() != node || !self.polls[g].dormant {
                 continue;
             }
             self.polls[g].dormant = false;
-            if k.config.bg_fast_path {
-                let seq = k.queue.alloc_seq();
-                self.polls[g].next = Some((now, seq));
-                k.lanes.push(now, seq, LaneRef::Poll(g as u32));
-            } else {
-                k.queue.schedule(now, Ev::BgPoll { gen: g });
-            }
+            self.arm_poll(k, dispatch, now, g);
+        }
+    }
+
+    /// Arms generator `gen`'s next poll at `at` on the path
+    /// [`DispatchEngine::bg_ff`] selects: a virtual lane whose seq is
+    /// allocated exactly where the reference path schedules its `BgPoll`,
+    /// so tie-breaking stays bit-identical.
+    pub fn arm_poll(
+        &mut self,
+        k: &mut SimKernel,
+        dispatch: &DispatchEngine,
+        at: SimTime,
+        gen: usize,
+    ) {
+        if dispatch.bg_ff {
+            let seq = k.queue.alloc_seq();
+            self.polls[gen].next = Some((at, seq));
+            k.lanes.push(at, seq, LaneRef::Poll(gen as u32));
+        } else {
+            k.queue.schedule(at, Ev::BgPoll { gen });
         }
     }
 }

@@ -31,7 +31,6 @@ fn main() {
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let predictor = rtds::experiments::models::quick_predictor();
 

@@ -45,7 +45,6 @@ fn main() {
                 failures: Vec::new(),
                 faults: FaultPlan::default(),
                 observe: ObserveConfig::default(),
-                bg_fast_path: true,
             };
             let r = run_scenario(&scenario, &predictor);
             println!(

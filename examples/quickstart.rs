@@ -24,7 +24,6 @@ fn main() {
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
 
     // The predictor normally comes from a profiling campaign

@@ -77,7 +77,6 @@ fn run_metrics_survive_serde_round_trip() {
         failures: vec![(5, 8)],
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let r = run_scenario(&scenario, &quick_predictor());
     let json = serde_json::to_string(&r.metrics).expect("serialize");
@@ -113,7 +112,6 @@ fn latency_distribution_round_trips_and_orders() {
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let r = run_scenario(&scenario, &quick_predictor());
     let d = r.metrics.latency_distribution().expect("completions");

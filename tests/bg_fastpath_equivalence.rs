@@ -1,22 +1,25 @@
-//! Fast-path / slow-path equivalence: the background-load fast path
-//! (`bg_fast_path`) must be invisible in every observable — metrics,
-//! summaries, event traces, and decision-audit records — across seeds,
-//! workload patterns, and fault plans. This is the contract that lets
-//! the fast path stay on by default while `tests/golden/` and the figure
-//! outputs remain byte-stable.
+//! Fast-path / reference-path equivalence: running ambient load on
+//! virtual lanes (the only path the public API runs) must be invisible in
+//! every observable — metrics, summaries, event traces, and
+//! decision-audit records — against the reference heap-event path, across
+//! seeds, workload patterns, fault plans, and CPU schedulers. This is the
+//! contract that lets `tests/golden/` and the figure outputs stay
+//! byte-stable. The reference path is reachable only through the
+//! doc-hidden oracle seam `run_scenario_reference`.
 
 use rtds::experiments::models::quick_predictor;
 use rtds::experiments::scenario::{
-    run_scenario, CrashFault, FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
-    ScenarioResult,
+    run_scenario, run_scenario_reference, CrashFault, FaultPlan, ObserveConfig, PatternSpec,
+    PolicySpec, ScenarioConfig, ScenarioResult,
 };
 use rtds::workloads::WorkloadRange;
+use rtds_sim::sched::SchedulerKind;
 
 fn scenario(
     pattern: PatternSpec,
     seed: u64,
     faults: FaultPlan,
-    bg_fast_path: bool,
+    scheduler: SchedulerKind,
 ) -> ScenarioConfig {
     ScenarioConfig {
         pattern,
@@ -25,12 +28,11 @@ fn scenario(
         n_periods: 30,
         ambient_util: 0.25,
         seed,
-        scheduler: rtds_sim::sched::SchedulerKind::paper_baseline(),
+        scheduler,
         online_refinement: false,
         failures: Vec::new(),
         faults,
         observe: ObserveConfig::full(),
-        bg_fast_path,
     }
 }
 
@@ -68,18 +70,31 @@ fn fast_path_matches_slow_path_across_patterns_seeds_and_faults() {
         PatternSpec::Increasing { ramp_periods: 30 },
         PatternSpec::Step { low: 5, high: 5 },
     ];
+    // The paper's round-robin 1 ms, plus the schedulers that take the
+    // quantum-less arm of the dispatch path (FIFO, non-preemptive static
+    // priority) and two other slice lengths.
+    let schedulers = [
+        SchedulerKind::paper_baseline(),
+        SchedulerKind::Fifo,
+        SchedulerKind::StaticPriority { quantum_us: None },
+        SchedulerKind::StaticPriority { quantum_us: Some(1_000) },
+        SchedulerKind::RoundRobin { quantum_us: 5_000 },
+    ];
     for pattern in patterns {
-        for faults in [FaultPlan::default(), faulty_plan()] {
-            for seed in [0x5EED_u64, 1, 0xBAD_CAFE] {
-                let on = run_scenario(&scenario(pattern, seed, faults.clone(), true), &predictor);
-                let off = run_scenario(&scenario(pattern, seed, faults.clone(), false), &predictor);
-                assert_eq!(
-                    observables(&on),
-                    observables(&off),
-                    "fast path diverged: pattern {pattern:?}, seed {seed:#x}, \
-                     faults active: {}",
-                    faults.is_active(),
-                );
+        for scheduler in schedulers {
+            for faults in [FaultPlan::default(), faulty_plan()] {
+                for seed in [0x5EED_u64, 1, 0xBAD_CAFE] {
+                    let cfg = scenario(pattern, seed, faults.clone(), scheduler);
+                    let fast = run_scenario(&cfg, &predictor);
+                    let reference = run_scenario_reference(&cfg, &predictor);
+                    assert_eq!(
+                        observables(&fast),
+                        observables(&reference),
+                        "fast path diverged: pattern {pattern:?}, scheduler {scheduler:?}, \
+                         seed {seed:#x}, faults active: {}",
+                        faults.is_active(),
+                    );
+                }
             }
         }
     }
@@ -90,17 +105,15 @@ fn fast_path_matches_slow_path_without_ambient_load() {
     // Degenerate case: no generators at all. The fast path must be a
     // strict no-op (no lanes ever armed).
     let predictor = quick_predictor();
-    let base = |fast| {
-        let mut c = scenario(
-            PatternSpec::Triangular { half_period: 5 },
-            7,
-            FaultPlan::default(),
-            fast,
-        );
-        c.ambient_util = 0.0;
-        c
-    };
-    let on = run_scenario(&base(true), &predictor);
-    let off = run_scenario(&base(false), &predictor);
-    assert_eq!(observables(&on), observables(&off));
+    let mut cfg = scenario(
+        PatternSpec::Triangular { half_period: 5 },
+        7,
+        FaultPlan::default(),
+        SchedulerKind::paper_baseline(),
+    );
+    cfg.ambient_util = 0.0;
+    assert_eq!(
+        observables(&run_scenario(&cfg, &predictor)),
+        observables(&run_scenario_reference(&cfg, &predictor)),
+    );
 }

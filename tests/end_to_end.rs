@@ -20,7 +20,6 @@ fn quick_scenario(policy: PolicySpec, max_tracks: u64, seed: u64) -> ScenarioCon
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     }
 }
 
@@ -204,7 +203,6 @@ fn workload_patterns_feed_the_scenario_exactly() {
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let r = run_scenario(&scenario, &p);
     let tracks: Vec<u64> = r.metrics.periods.iter().map(|x| x.tracks).collect();

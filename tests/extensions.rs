@@ -131,7 +131,6 @@ fn incremental_policy_adapts_one_replica_at_a_time() {
         failures: Vec::new(),
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let r = run_scenario(&scenario, &p);
     assert_eq!(r.policy, "incremental");
@@ -181,7 +180,6 @@ fn online_refinement_recovers_a_bad_prior() {
             failures: Vec::new(),
             faults: FaultPlan::default(),
             observe: ObserveConfig::default(),
-            bg_fast_path: true,
         };
         run_scenario(&scenario, predictor)
     };
@@ -246,7 +244,6 @@ fn failures_via_scenario_config_reach_the_cluster() {
         failures: vec![(4, 15)], // EvalDecide home dies at t = 15 s
         faults: FaultPlan::default(),
         observe: ObserveConfig::default(),
-        bg_fast_path: true,
     };
     let failed = run_scenario(&cfg, &p);
     cfg.failures.clear();
