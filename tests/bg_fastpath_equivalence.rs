@@ -18,7 +18,7 @@ use rtds_sim::sched::SchedulerKind;
 fn scenario(
     pattern: PatternSpec,
     seed: u64,
-    faults: FaultPlan,
+    (faults, failures): (FaultPlan, Vec<(u32, u64)>),
     scheduler: SchedulerKind,
 ) -> ScenarioConfig {
     ScenarioConfig {
@@ -30,14 +30,16 @@ fn scenario(
         seed,
         scheduler,
         online_refinement: false,
-        failures: Vec::new(),
+        failures,
         faults,
         observe: ObserveConfig::full(),
     }
 }
 
-fn faulty_plan() -> FaultPlan {
-    FaultPlan {
+/// The faulty axis: a lossy, duplicating bus, a crash with restart of
+/// node 2, and a mid-horizon permanent failure of node 4.
+fn faulty() -> (FaultPlan, Vec<(u32, u64)>) {
+    let plan = FaultPlan {
         drop_prob: 0.10,
         dup_prob: 0.05,
         retx_timeout_us: 20_000,
@@ -47,7 +49,8 @@ fn faulty_plan() -> FaultPlan {
             at_s: 8,
             restart_after_s: Some(3),
         }],
-    }
+    };
+    (plan, vec![(4, 15)])
 }
 
 /// Every observable of a run, rendered to comparable text. `RunMetrics`
@@ -82,7 +85,7 @@ fn fast_path_matches_slow_path_across_patterns_seeds_and_faults() {
     ];
     for pattern in patterns {
         for scheduler in schedulers {
-            for faults in [FaultPlan::default(), faulty_plan()] {
+            for faults in [(FaultPlan::default(), Vec::new()), faulty()] {
                 for seed in [0x5EED_u64, 1, 0xBAD_CAFE] {
                     let cfg = scenario(pattern, seed, faults.clone(), scheduler);
                     let fast = run_scenario(&cfg, &predictor);
@@ -92,7 +95,7 @@ fn fast_path_matches_slow_path_across_patterns_seeds_and_faults() {
                         observables(&reference),
                         "fast path diverged: pattern {pattern:?}, scheduler {scheduler:?}, \
                          seed {seed:#x}, faults active: {}",
-                        faults.is_active(),
+                        faults.0.is_active(),
                     );
                 }
             }
@@ -108,7 +111,7 @@ fn fast_path_matches_slow_path_without_ambient_load() {
     let mut cfg = scenario(
         PatternSpec::Triangular { half_period: 5 },
         7,
-        FaultPlan::default(),
+        (FaultPlan::default(), Vec::new()),
         SchedulerKind::paper_baseline(),
     );
     cfg.ambient_util = 0.0;
