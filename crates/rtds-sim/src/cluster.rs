@@ -171,13 +171,13 @@ pub trait ClusterApi {
 pub struct Cluster {
     /// Pure mechanics: queue, clocks, RNG, lanes, metrics, observability.
     kernel: SimKernel,
-    /// Nodes, job slab, quantum chains, dispatch boundaries.
+    /// Nodes, job slab, quantum-chain metadata.
     dispatch: DispatchEngine,
     /// Shared bus, in-flight/retransmit/dedup state.
     net: NetEngine,
     /// Node death, crash teardown, restart re-arm.
     fault: FaultEngine,
-    /// Background generators and their poll lanes.
+    /// Background generators and their dormancy.
     load: LoadEngine,
     /// Task runtimes, instances, period bookkeeping.
     tasks: TaskTable,
@@ -275,128 +275,73 @@ impl Cluster {
         let mut queue_ver = u64::MAX;
         loop {
             // The earliest pending work is the min over the real queue
-            // and the virtual lanes (elided dispatches and polls); both
-            // carry a total `(time, seq)` order key.
+            // and the virtual lanes; both carry a total `(time, seq)`
+            // order key.
             if self.kernel.queue.version() != queue_ver {
                 queue_key = self.kernel.queue.peek_key();
                 queue_ver = self.kernel.queue.version();
             }
-            let lane_key = self.peek_lane();
-            let (t, lane) = match (queue_key, lane_key) {
+            let lane = self
+                .kernel
+                .lanes
+                .peek()
+                .filter(|e| queue_key.is_none_or(|q| (e.at, e.seq) < q));
+            let t = match (lane, queue_key) {
+                (Some(e), _) => e.at,
+                (None, Some((qt, _))) => qt,
                 (None, None) => break,
-                (Some((qt, qs)), Some((lt, ls, l))) => {
-                    if (lt, ls) < (qt, qs) {
-                        (lt, Some(l))
-                    } else {
-                        (qt, None)
-                    }
-                }
-                (Some((qt, _)), None) => (qt, None),
-                (None, Some((lt, _, l))) => (lt, Some(l)),
             };
             if t > horizon {
                 break;
             }
-            let (now, ev) = match lane {
-                Some(LaneRef::Chain(i)) => {
-                    let i = i as usize;
-                    let link = self.dispatch.chains[i].expect("chain link exists");
-                    if link.next_at < link.completion {
-                        // Intermediate link: rekeyed to the next link in
-                        // place — its heap entry is still the top. Then
-                        // burst: as long as the *next* link still
-                        // precedes every other pending key (queue min
-                        // and runner-up lane, neither of which moves
-                        // during an advance), fire it immediately
-                        // instead of re-entering the loop.
-                        let bound = match (queue_key, self.kernel.lanes.runner_up()) {
-                            (Some(q), Some(r)) => Some(q.min(r)),
-                            (Some(q), None) => Some(q),
-                            (None, r) => r,
-                        };
-                        self.dispatch.advance_chain(&mut self.kernel, i);
-                        while let Some(l) = self.dispatch.chains[i] {
-                            if l.next_at >= l.completion
-                                || l.next_at > horizon
-                                || bound.is_some_and(|b| (l.next_at, l.next_seq) >= b)
-                            {
-                                break;
+            let (now, ev, timed) = match lane {
+                None => {
+                    let (now, ev) = self.kernel.queue.pop().expect("peeked event exists");
+                    (now, ev, true)
+                }
+                Some(e) => {
+                    // Polls and the boundaries of background-only nodes
+                    // have no external observer: counted as lane fires,
+                    // untimed. A dispatch on a node with stage jobs is an
+                    // ordinary timed event.
+                    let (ev, elided) = match e.lane {
+                        LaneRef::Dispatch(i) => {
+                            let i = i as usize;
+                            if self.dispatch.chains[i].is_some_and(|c| t < c.completion) {
+                                // An intermediate chain link, a state
+                                // no-op: replayed in a burst, off `handle()`.
+                                let k = &mut self.kernel;
+                                let links = self.dispatch.burst_chain(k, i, t, queue_key, horizon);
+                                if let Some(p) = self.kernel.perf.as_mut() {
+                                    p.report.elided_dispatches += links;
+                                }
+                                continue;
                             }
-                            self.dispatch.advance_chain(&mut self.kernel, i);
+                            let bg_only = self.dispatch.bg_ff && self.dispatch.stage_jobs[i] == 0;
+                            (Ev::Dispatch { node: NodeId(i as u32) }, bg_only)
                         }
-                        continue;
-                    }
-                    // The chain's final link: the lone job's completion
-                    // dispatch, fired as a direct handler call with no
-                    // heap round-trip.
-                    self.kernel.lanes.pop();
-                    self.dispatch.chains[i] = None;
-                    self.kernel.queue.advance_now(link.next_at);
-                    let node = self.dispatch.nodes[i].id;
-                    if self.dispatch.bg_ff && self.dispatch.stage_jobs[i] == 0 {
-                        // Background-only completion: the whole dispatch
-                        // round-trip leaves the event loop, not just the
-                        // heap traffic.
-                        if let Some(p) = self.kernel.perf.as_mut() {
-                            p.report.elided_bg_dispatches += 1;
+                        LaneRef::BgPoll(g) => (Ev::BgPoll { gen: g as usize }, true),
+                    };
+                    // Fire: the lane's event goes through `handle()`.
+                    // Its entry stays at the heap top — everything the
+                    // handler can arm keys strictly after it — so a
+                    // handler re-arming the same lane rewrites it in
+                    // place; otherwise it is discarded as stale.
+                    self.kernel.lanes.disarm(e.lane);
+                    self.kernel.queue.advance_now(t);
+                    if let Some(p) = self.kernel.perf.as_mut().filter(|_| elided) {
+                        match ev {
+                            Ev::BgPoll { .. } => p.report.elided_bg_polls += 1,
+                            _ => p.report.elided_bg_dispatches += 1,
                         }
-                        self.dispatch.on_dispatch(
-                            &mut self.kernel,
-                            &mut self.tasks,
-                            &mut self.net,
-                            link.next_at,
-                            node,
-                        );
-                        continue;
                     }
-                    (link.next_at, Ev::Dispatch { node })
+                    (t, ev, !elided)
                 }
-                Some(LaneRef::Poll(g)) => {
-                    // Fired without popping: everything the handler can
-                    // push keys strictly after `t`, so the entry is still
-                    // the top afterwards and is rekeyed to the next poll
-                    // (or popped, if the generator retires).
-                    self.kernel.queue.advance_now(t);
-                    self.load.on_virtual_poll(
-                        &mut self.kernel,
-                        &mut self.dispatch,
-                        &mut self.tasks,
-                        t,
-                        g as usize,
-                    );
-                    continue;
-                }
-                Some(LaneRef::Bound(i)) => {
-                    // A background-only node's slice boundary: the same
-                    // `Dispatch` the reference path pops from the heap, fired
-                    // directly through the unmodified handler — off the
-                    // event loop entirely (a live boundary implies the
-                    // node is still background-only).
-                    let i = i as usize;
-                    self.kernel.lanes.pop();
-                    self.dispatch.bg_bounds[i] = None;
-                    self.kernel.queue.advance_now(t);
-                    if let Some(p) = self.kernel.perf.as_mut() {
-                        p.report.elided_bg_dispatches += 1;
-                    }
-                    let node = self.dispatch.nodes[i].id;
-                    self.dispatch.on_dispatch(
-                        &mut self.kernel,
-                        &mut self.tasks,
-                        &mut self.net,
-                        t,
-                        node,
-                    );
-                    continue;
-                }
-                None => self.kernel.queue.pop().expect("peeked event exists"),
             };
-            if self.kernel.perf.is_none() {
-                self.handle(now, ev);
-            } else {
-                let kind = ev.kind_index();
-                let t0 = std::time::Instant::now();
-                self.handle(now, ev);
+            let kind = ev.kind_index();
+            let t0 = (timed && self.kernel.perf.is_some()).then(std::time::Instant::now);
+            self.handle(now, ev);
+            if let Some(t0) = t0 {
                 let dt = t0.elapsed().as_nanos() as u64;
                 let p = self.kernel.perf.as_mut().expect("perf enabled");
                 p.report.events[kind] += 1;
@@ -410,6 +355,9 @@ impl Cluster {
     /// composition-root events (period release, clock sync, sampling) are
     /// handled here; everything else is dispatched on split borrows of
     /// the kernel and the engines — disjoint fields, so they all coexist.
+    /// Inlined into its one call site, so a lane fire costs no more than
+    /// a direct handler call.
+    #[inline(always)]
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::PeriodRelease { task, index } => return self.on_period_release(now, task, index),
@@ -428,30 +376,6 @@ impl Cluster {
             Ev::NodeRestart { node } => fault.on_node_restart(kernel, dispatch, load, now, node),
             Ev::RetxTimeout { orig } => net.on_retx_timeout(kernel, dispatch, tasks, now, orig),
             Ev::PeriodRelease { .. } | Ev::ClockSync | Ev::Sample => unreachable!("handled above"),
-        }
-    }
-
-    /// The `(time, seq, lane)` key of the earliest live virtual lane, if
-    /// any. Stale heap entries — their lane was re-keyed or cancelled
-    /// since the push — are detected by seq mismatch (seqs are unique per
-    /// run) and discarded here.
-    #[inline]
-    fn peek_lane(&mut self) -> Option<(SimTime, u64, LaneRef)> {
-        loop {
-            let e = self.kernel.lanes.peek()?;
-            let live = match e.lane {
-                LaneRef::Chain(i) => self.dispatch.chains[i as usize]
-                    .is_some_and(|l| l.next_seq == e.seq),
-                LaneRef::Poll(g) => self.load.polls[g as usize]
-                    .next
-                    .is_some_and(|(_, s)| s == e.seq),
-                LaneRef::Bound(i) => self.dispatch.bg_bounds[i as usize]
-                    .is_some_and(|(_, s)| s == e.seq),
-            };
-            if live {
-                return Some((e.at, e.seq, e.lane));
-            }
-            self.kernel.lanes.pop();
         }
     }
 
@@ -716,7 +640,7 @@ impl ClusterApi for Cluster {
             panic!("invalid load generator config: {e}");
         }
         self.load.gens.push(gen);
-        self.load.polls.push(crate::engine::load::PollLane::default());
+        self.load.dormant.push(false);
     }
 
     fn set_controller(&mut self, controller: Box<dyn Controller>) {

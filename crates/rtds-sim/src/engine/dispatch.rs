@@ -1,32 +1,30 @@
-//! Node scheduling: CPU dispatch, the job slab, and the virtual quantum
-//! chains / boundary lanes of the fast path.
+//! Node scheduling: CPU dispatch, the job slab, and each node's
+//! `Dispatch` lane.
 //!
 //! The [`DispatchEngine`] owns the processor nodes and every live job.
 //! It admits work (from stage starts, message deliveries, and background
-//! polls), drives slice-boundary dispatches, and carries the elided
-//! dispatch state of the fast path: per-node [`DispatchChain`]s for lone
-//! jobs and `bg_bounds` for background-only nodes. All `(time, seq)`
-//! allocation happens at the exact program points where the reference path
-//! would `schedule`, which is what keeps the two modes byte-identical.
+//! polls) and drives slice-boundary dispatches. A node's next `Dispatch`
+//! runs on its lane ([`LaneRef::Dispatch`]) instead of the event queue
+//! while it has no external observer: a lone job's quantum chain
+//! ([`DispatchChain`]), or the slice boundary of a background-only node.
+//! All `(time, seq)` allocation happens at the exact program points where
+//! the reference path would `schedule`, which is what keeps the two modes
+//! byte-identical.
 
 use crate::engine::net::NetEngine;
 use crate::engine::tasks::TaskTable;
 use crate::ids::{JobId, NodeId};
 use crate::job::{Job, JobKind};
 use crate::kernel::{Ev, SimKernel};
-use crate::lane::LaneRef;
+use crate::lane::{LaneKey, LaneRef};
 use crate::node::{Node, Running};
 use crate::sched::SchedulerKind;
 use crate::time::{SimDuration, SimTime};
 
 /// The elided continuation of a lone running job (see
-/// [`DispatchEngine::chains`]).
+/// [`DispatchEngine::chains`]). The next link's key is the node lane's.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DispatchChain {
-    /// Time of the next (elided) quantum-boundary dispatch.
-    pub next_at: SimTime,
-    /// The sequence number that dispatch would occupy in the event queue.
-    pub next_seq: u64,
     /// When the job completes if it keeps the CPU: `slice_start +
     /// remaining` at chain creation. The dispatch at this instant has real
     /// effects and is scheduled as a real event when the chain reaches it.
@@ -51,26 +49,15 @@ pub(crate) struct DispatchEngine {
     /// running. Zero means every job on the node is background load and
     /// its dispatch boundaries are eligible for elision.
     pub stage_jobs: Vec<u32>,
-    /// Per-node virtual dispatch chains: when a node runs a *lone* job
-    /// (empty ready queue) spanning several quanta, every intermediate
-    /// per-quantum `Dispatch` is a state no-op — it serves one quantum,
-    /// requeues into an empty queue, picks the same job back, and
-    /// schedules the next slice. Those events are elided from the heap;
-    /// this chain tracks the `(time, seq)` key the *next* one would have
-    /// carried, with the seq allocated at the exact point the real event
-    /// would have been scheduled, so same-time tie-breaking is
-    /// bit-identical to the unelided execution (see
-    /// [`crate::event::EventQueue::alloc_seq`]). An arrival at the node
-    /// re-materializes the pending link as a real truncated dispatch.
+    /// Per-node chain metadata of the node's `Dispatch` lane: when a node
+    /// runs a *lone* job (empty ready queue) spanning several quanta,
+    /// every intermediate per-quantum `Dispatch` is a state no-op — it
+    /// serves one quantum, requeues into an empty queue, picks the same
+    /// job back, and schedules the next slice. The lane carries the key
+    /// of the next link; `Some` here marks it as a chain link rather than
+    /// a plain slice boundary. Meaningful only while the lane is armed:
+    /// every arm sets it.
     pub chains: Vec<Option<DispatchChain>>,
-    /// Per-node elided dispatch boundary, used when the fast path is on
-    /// and the node runs *only* background jobs: the slice-end `Dispatch`
-    /// is carried here (key only, no heap event) and fired as a direct
-    /// handler call. A stage admission re-materializes it via
-    /// [`crate::event::EventQueue::schedule_at_seq`] in its reserved
-    /// tie-break slot. Invariant: a node never has both a chain and a
-    /// boundary.
-    pub bg_bounds: Vec<Option<(SimTime, u64)>>,
     /// The one switch between the two background-load paths: true runs
     /// background polls and background-only slice boundaries on virtual
     /// lanes; false (only [`crate::cluster::Cluster::reference`], the
@@ -91,7 +78,6 @@ impl DispatchEngine {
             free_jobs: Vec::new(),
             stage_jobs: vec![0; n_nodes],
             chains: vec![None; n_nodes],
-            bg_bounds: vec![None; n_nodes],
             bg_ff,
         }
     }
@@ -132,15 +118,16 @@ impl DispatchEngine {
         }
         if self.bg_ff && self.stage_jobs[node.index()] == 0 {
             // Still background-only: the running job (if chained) is no
-            // longer alone, but its truncated slice boundary can stay
-            // virtual — same key, no heap event.
-            self.truncate_chain_to_bound(k, node);
+            // longer alone, so its chain ends at the pending link, which
+            // stays on the lane as a plain slice boundary — same key, no
+            // heap event.
+            if let Some((at, _)) = k.lanes.key(LaneRef::Dispatch(node.index() as u32)) {
+                self.chains[node.index()] = None;
+                self.running_mut(node).slice_end = at;
+            }
         } else {
-            // A stage job makes the node externally consequential: any
-            // elided boundary or chain link re-materializes as a real
-            // event in its reserved tie-break slot.
-            self.materialize_bound(k, node);
-            self.truncate_chain(k, node);
+            // A stage job makes the node externally consequential.
+            self.materialize(k, node);
         }
         self.nodes[node.index()].sched.enqueue(id, priority);
         self.try_dispatch(k, now, node);
@@ -160,84 +147,64 @@ impl DispatchEngine {
         job
     }
 
-    /// Re-materializes a node's pending elided dispatch as a real event,
-    /// in its reserved tie-break position: another job arrived, so
-    /// round-robin interleaving must resume at the next quantum boundary
-    /// exactly as it would have without elision.
-    pub fn truncate_chain(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some(link) = self.chains[node.index()].take() {
-            let h = k
-                .queue
-                .schedule_at_seq(link.next_at, link.next_seq, Ev::Dispatch { node });
-            let r = self.nodes[node.index()]
-                .running
-                .as_mut()
-                .expect("chained node has a running job");
-            r.slice_end = link.next_at;
-            r.dispatch_handle = Some(h);
-        }
+    fn running_mut(&mut self, node: NodeId) -> &mut Running {
+        self.nodes[node.index()]
+            .running
+            .as_mut()
+            .expect("a node with an armed lane has a running job")
     }
 
-    /// Like [`Self::truncate_chain`], but the truncated slice boundary
-    /// stays virtual: on a background-only node the dispatch at
-    /// `link.next_at` has no external observer, so its `(time, seq)` key
-    /// moves from the chain to the boundary lane instead of the heap.
-    /// The chain's heap entry goes stale; the key is unchanged, so event
-    /// order — and hence every RNG draw and output byte — is too.
-    pub fn truncate_chain_to_bound(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some(link) = self.chains[node.index()].take() {
-            self.bg_bounds[node.index()] = Some((link.next_at, link.next_seq));
-            k.lanes
-                .push(link.next_at, link.next_seq, LaneRef::Bound(node.index() as u32));
-            let r = self.nodes[node.index()]
-                .running
-                .as_mut()
-                .expect("chained node has a running job");
-            r.slice_end = link.next_at;
-            debug_assert!(r.dispatch_handle.is_none(), "chained node had a heap dispatch");
-        }
-    }
-
-    /// Re-materializes a node's elided background slice boundary as a
-    /// real `Dispatch` in its reserved tie-break slot: a stage job was
-    /// admitted, so from here on the node's scheduling is externally
-    /// observable and runs on real events.
-    pub fn materialize_bound(&mut self, k: &mut SimKernel, node: NodeId) {
-        if let Some((at, seq)) = self.bg_bounds[node.index()].take() {
+    /// Moves a node's pending lane `Dispatch` onto the event queue as a
+    /// real event in its reserved tie-break slot, truncating a chain at
+    /// its pending link: another job arrived, so from here on round-robin
+    /// interleaving and the node's scheduling are observable and run on
+    /// real events, exactly as without elision.
+    pub fn materialize(&mut self, k: &mut SimKernel, node: NodeId) {
+        if let Some((at, seq)) = k.lanes.disarm(LaneRef::Dispatch(node.index() as u32)) {
             let h = k.queue.schedule_at_seq(at, seq, Ev::Dispatch { node });
-            let r = self.nodes[node.index()]
-                .running
-                .as_mut()
-                .expect("bounded node has a running job");
-            debug_assert_eq!(r.slice_end, at, "boundary key drifted from the running slice");
+            let r = self.running_mut(node);
+            r.slice_end = at;
             r.dispatch_handle = Some(h);
         }
     }
 
-    /// Fires one elided intermediate dispatch. For the lone job this is a
-    /// state no-op (serve one quantum, requeue into an empty queue, pick
-    /// itself back), so only its bookkeeping is replayed: the dispatch
-    /// that handler would have scheduled takes the next sequence number,
-    /// now. The chain's last link — the job's completion, which has real
-    /// effects — keeps `next_at == completion` and is fired by the run
-    /// loop as a direct handler call, never touching the heap.
-    pub fn advance_chain(&mut self, k: &mut SimKernel, i: usize) {
-        let link = self.chains[i].expect("chain link exists");
-        debug_assert!(link.next_at < link.completion, "final link fired as intermediate");
-        k.queue.advance_now(link.next_at);
-        let next = (link.next_at + link.quantum).min(link.completion);
-        let next_seq = k.queue.alloc_seq();
-        self.chains[i] = Some(DispatchChain {
-            next_at: next,
-            next_seq,
-            ..link
-        });
-        // The fired link's entry is still the heap top (the run loop
-        // peeks, it does not pop): rekey it to the next link in place.
-        k.lanes
-            .rekey_top(link.next_seq, next, next_seq, LaneRef::Chain(i as u32));
-        if let Some(p) = k.perf.as_mut() {
-            p.report.elided_dispatches += 1;
+    /// Fires node `i`'s intermediate chain link due at `at`, then keeps
+    /// firing links while the next one is still intermediate, within the
+    /// horizon, and before every other pending key: the queue's
+    /// `queue_key` and the runner-up lane, neither of which moves during
+    /// the burst. For the lone job each link is a state no-op (serve one
+    /// quantum, requeue into an empty queue, pick itself back), so only
+    /// its bookkeeping is replayed: the dispatch that handler would have
+    /// scheduled takes the next sequence number, now, and re-arms the
+    /// lane in place. The chain's last link — the job's completion, which
+    /// has real effects — fires as a `Dispatch`. Returns the number of
+    /// links fired.
+    pub fn burst_chain(
+        &mut self,
+        k: &mut SimKernel,
+        i: usize,
+        mut at: SimTime,
+        queue_key: Option<LaneKey>,
+        horizon: SimTime,
+    ) -> u64 {
+        let bound = match (queue_key, k.lanes.runner_up()) {
+            (Some(q), Some(r)) => Some(q.min(r)),
+            (q, r) => q.or(r),
+        };
+        let c = self.chains[i].expect("chain link exists");
+        let lane = LaneRef::Dispatch(i as u32);
+        let mut links = 0;
+        loop {
+            debug_assert!(at < c.completion, "final link fired as intermediate");
+            k.queue.advance_now(at);
+            let next = (at + c.quantum).min(c.completion);
+            let seq = k.queue.alloc_seq();
+            k.lanes.arm(lane, next, seq);
+            links += 1;
+            if next >= c.completion || next > horizon || bound.is_some_and(|b| (next, seq) >= b) {
+                return links;
+            }
+            at = next;
         }
     }
 
@@ -275,8 +242,9 @@ impl DispatchEngine {
     }
 
     /// Picks and starts the next job on an idle node, arming either a
-    /// real slice-boundary `Dispatch`, a virtual chain (lone multi-quantum
-    /// job), or a virtual boundary (background-only node, fast path).
+    /// real slice-boundary `Dispatch` or the node's lane: a chain (lone
+    /// multi-quantum job) or a boundary (background-only node, fast
+    /// path).
     pub fn try_dispatch(&mut self, k: &mut SimKernel, now: SimTime, node: NodeId) {
         let (jid, lone, quantum) = {
             let n = &mut self.nodes[node.index()];
@@ -296,41 +264,25 @@ impl DispatchEngine {
             job.first_dispatch = Some(now);
         }
         let remaining = job.remaining;
-        // Fast path, background-only node: the coming slice boundary has
-        // no external observer, so it is carried on the boundary lane
-        // instead of the heap (the chain arm below is already heap-free).
-        let bg_only = self.bg_ff && self.stage_jobs[node.index()] == 0;
         let (slice_end, handle) = match quantum {
             // A lone job spanning several quanta: every intermediate
             // dispatch would requeue into an empty queue and pick the
-            // same job back, so the whole run is carried on the virtual
+            // same job back, so the whole run is carried on the lane as a
             // chain. The first elided dispatch would be scheduled right
             // here; its sequence number is allocated right here.
             Some(q) if lone && remaining > q => {
                 let completion = now + remaining;
-                let next_at = now + q;
-                let next_seq = k.queue.alloc_seq();
-                self.chains[node.index()] = Some(DispatchChain {
-                    next_at,
-                    next_seq,
-                    completion,
-                    quantum: q,
-                });
-                k.lanes.push(next_at, next_seq, LaneRef::Chain(node.index() as u32));
+                let chain = DispatchChain { completion, quantum: q };
+                self.arm_lane(k, now + q, node, Some(chain));
                 (completion, None)
             }
-            Some(q) => {
-                let end = now + q.min(remaining);
-                if bg_only {
-                    (end, self.elide_bound(k, end, node))
-                } else {
-                    (end, Some(k.queue.schedule(end, Ev::Dispatch { node })))
-                }
-            }
-            None => {
-                let end = now + remaining;
-                if bg_only {
-                    (end, self.elide_bound(k, end, node))
+            _ => {
+                let end = now + quantum.map_or(remaining, |q| q.min(remaining));
+                if self.bg_ff && self.stage_jobs[node.index()] == 0 {
+                    // Fast path, background-only node: the slice boundary
+                    // has no external observer, so it runs on the lane.
+                    self.arm_lane(k, end, node, None);
+                    (end, None)
                 } else {
                     (end, Some(k.queue.schedule(end, Ev::Dispatch { node })))
                 }
@@ -346,20 +298,20 @@ impl DispatchEngine {
         n.begin_busy(now);
     }
 
-    /// Arms the boundary lane for a background-only node's slice end and
-    /// returns the (absent) dispatch handle. The seq is allocated at the
-    /// exact program point where the reference path would `schedule`, keeping
-    /// tie-break order bit-identical.
+    /// Arms `node`'s lane to dispatch at `at`, as a chain link or a plain
+    /// slice boundary. The seq is allocated at the exact program point
+    /// where the reference path would `schedule`, keeping tie-break order
+    /// bit-identical.
     #[inline]
-    fn elide_bound(
+    fn arm_lane(
         &mut self,
         k: &mut SimKernel,
-        end: SimTime,
+        at: SimTime,
         node: NodeId,
-    ) -> Option<crate::event::EventHandle> {
+        chain: Option<DispatchChain>,
+    ) {
+        self.chains[node.index()] = chain;
         let seq = k.queue.alloc_seq();
-        self.bg_bounds[node.index()] = Some((end, seq));
-        k.lanes.push(end, seq, LaneRef::Bound(node.index() as u32));
-        None
+        k.lanes.arm(LaneRef::Dispatch(node.index() as u32), at, seq);
     }
 }

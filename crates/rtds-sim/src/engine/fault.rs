@@ -15,6 +15,7 @@ use crate::engine::net::NetEngine;
 use crate::engine::tasks::TaskTable;
 use crate::ids::{JobId, NodeId};
 use crate::kernel::{Ev, SimKernel};
+use crate::lane::LaneRef;
 use crate::net::MsgPayload;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
@@ -47,9 +48,8 @@ impl FaultEngine {
         dispatch.nodes[node.index()].alive = false;
         k.record_trace(now, TraceEvent::NodeFailed { node });
         let mut lost: Vec<JobId> = Vec::new();
-        // Virtual lanes die with the node; their heap entries go stale.
-        dispatch.chains[node.index()] = None;
-        dispatch.bg_bounds[node.index()] = None;
+        // The node's lane dies with it; its heap entry goes stale.
+        k.lanes.disarm(LaneRef::Dispatch(node.index() as u32));
         if let Some(running) = dispatch.nodes[node.index()].running.take() {
             if let Some(h) = running.dispatch_handle {
                 k.queue.cancel(h);
@@ -153,10 +153,8 @@ mod tests {
 
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::engine::load::PollLane;
     use crate::ids::LoadGenId;
     use crate::job::JobKind;
-    use crate::lane::LaneRef;
     use crate::load::PeriodicLoad;
     use crate::time::SimDuration;
 
@@ -172,7 +170,7 @@ mod tests {
             SimDuration::from_millis(10),
             0.3,
         )));
-        load.polls.push(PollLane::default());
+        load.dormant.push(false);
         (k, dispatch, net, load, TaskTable::default(), FaultEngine)
     }
 
@@ -206,7 +204,7 @@ mod tests {
         assert!(dispatch.nodes[0].running.is_some());
         fault.kill_node(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(1), NodeId(0));
         assert!(dispatch.nodes[0].running.is_none());
-        assert!(dispatch.chains[0].is_none() && dispatch.bg_bounds[0].is_none());
+        assert_eq!(k.lanes.key(LaneRef::Dispatch(0)), None);
         assert_eq!(
             dispatch.jobs.iter().filter(|j| j.is_some()).count(),
             0,
@@ -219,23 +217,21 @@ mod tests {
         let (mut k, mut dispatch, mut net, mut load, mut tasks, mut fault) = harness();
         fault.on_node_crash(&mut k, &mut dispatch, &mut net, &mut tasks, SimTime::ZERO, NodeId(0));
         // The generator's poll fires and finds its node down: dormant,
-        // no RNG draw, no reschedule.
-        let next = load.poll_generator(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(10), 0);
-        assert_eq!(next, None);
-        assert!(load.polls[0].dormant);
-        assert!(load.polls[0].next.is_none());
+        // no RNG draw, no re-arm.
+        load.on_bg_poll(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(10), 0);
+        assert!(load.dormant[0]);
+        assert_eq!(k.lanes.key(LaneRef::BgPoll(0)), None);
         // Restart re-arms the lane at the restart instant (fast path:
         // virtual lane entry, no heap event).
         let back = SimTime::from_millis(500);
         fault.on_node_restart(&mut k, &mut dispatch, &mut load, back, NodeId(0));
         assert!(dispatch.nodes[0].alive);
         assert_eq!(k.metrics.node_restarts, 1);
-        assert!(!load.polls[0].dormant);
-        let (at, seq) = load.polls[0].next.expect("poll lane re-armed");
+        assert!(!load.dormant[0]);
+        let (at, seq) = k.lanes.key(LaneRef::BgPoll(0)).expect("poll lane re-armed");
         assert_eq!(at, back);
         let top = k.lanes.peek().expect("lane heap entry pushed");
-        assert_eq!((top.at, top.seq), (at, seq));
-        assert!(matches!(top.lane, LaneRef::Poll(0)));
+        assert_eq!((top.at, top.seq, top.lane), (at, seq, LaneRef::BgPoll(0)));
     }
 
     #[test]
@@ -245,15 +241,12 @@ mod tests {
         // restart must not arm a second lane (double-armed polls would
         // double the ambient load).
         let (mut k, mut dispatch, mut net, mut load, mut tasks, mut fault) = harness();
-        load.polls[0].next = Some((SimTime::from_millis(20), 77));
+        let pending = (SimTime::from_millis(20), 77);
+        k.lanes.arm(LaneRef::BgPoll(0), pending.0, pending.1);
         fault.on_node_crash(&mut k, &mut dispatch, &mut net, &mut tasks, SimTime::ZERO, NodeId(0));
         fault.on_node_restart(&mut k, &mut dispatch, &mut load, SimTime::from_millis(5), NodeId(0));
-        assert_eq!(
-            load.polls[0].next,
-            Some((SimTime::from_millis(20), 77)),
-            "pending poll untouched"
-        );
-        assert!(k.lanes.peek().is_none(), "no extra lane entry");
+        assert_eq!(k.lanes.key(LaneRef::BgPoll(0)), Some(pending), "pending poll untouched");
+        assert_eq!(k.lanes.len(), 1, "no extra lane entry");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Background load: ambient-load generators and their poll lanes.
+//! Background load: ambient-load generators and their polls.
 //!
-//! The [`LoadEngine`] owns the [`LoadGenerator`]s and the per-generator
-//! poll state that drives them — as elided polls carried on virtual lanes
-//! (the fast path), or as real `BgPoll` heap events (the reference path,
-//! run only by the equivalence oracle `Cluster::reference`).
-//! Both paths draw the generator at the same program point with the same
-//! RNG stream, so they are byte-identical by construction.
+//! The [`LoadEngine`] owns the [`LoadGenerator`]s. Each generator's next
+//! `BgPoll` runs on its lane ([`LaneRef::BgPoll`], the fast path) or as a
+//! real heap event (the reference path, run only by the equivalence
+//! oracle `Cluster::reference`); either way it fires through
+//! [`LoadEngine::on_bg_poll`], so both paths draw the generator at the
+//! same program point with the same RNG stream and are byte-identical by
+//! construction.
 
 use crate::engine::dispatch::DispatchEngine;
 use crate::engine::tasks::TaskTable;
@@ -16,33 +17,23 @@ use crate::lane::LaneRef;
 use crate::load::LoadGenerator;
 use crate::time::SimTime;
 
-/// Per-generator poll bookkeeping (see [`LoadEngine::polls`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PollLane {
-    /// Fast path: `(time, seq)` of the next elided poll; `None` when the
-    /// generator is retired (past horizon), dormant, or the reference path
-    /// owns the poll as a real heap event.
-    pub next: Option<(SimTime, u64)>,
-    /// The generator's node was down when its poll fired; no further
-    /// polls are armed until the node restarts.
-    pub dormant: bool,
-}
-
-/// Ambient-load state and behavior: the generators and their poll lanes.
+/// Ambient-load state and behavior: the generators and their dormancy.
 #[derive(Default)]
 pub(crate) struct LoadEngine {
     /// The background load generators.
     pub gens: Vec<Box<dyn LoadGenerator>>,
-    /// Per-generator poll state. With the fast path on, `next` holds the
-    /// `(time, seq)` key of the next elided poll — the heap never sees a
-    /// `BgPoll`. In both modes `dormant` marks a generator whose poll
-    /// fired while its node was down; it is re-armed on restart.
-    pub polls: Vec<PollLane>,
+    /// Per generator: its poll fired while its node was down, so no
+    /// further polls are armed until the node restarts.
+    pub dormant: Vec<bool>,
 }
 
 impl LoadEngine {
-    /// Reference-path poll (real `BgPoll` heap event): admit the arrival and
-    /// reschedule.
+    /// A generator's poll fired (from its lane or the heap): draw the
+    /// generator, admit the arrival, and arm the next poll if one is due
+    /// within the horizon. A poll that finds its node down marks the
+    /// generator dormant — no RNG draw, no re-arm — until the fault
+    /// engine's restart handler re-arms it, so ambient load survives
+    /// crash–restart instead of silently vanishing.
     pub fn on_bg_poll(
         &mut self,
         k: &mut SimKernel,
@@ -51,64 +42,10 @@ impl LoadEngine {
         now: SimTime,
         gen: usize,
     ) {
-        if let Some(next_at) = self.poll_generator(k, dispatch, tasks, now, gen) {
-            k.queue.schedule(next_at, Ev::BgPoll { gen });
-        }
-    }
-
-    /// Fast-path poll (virtual lane, no heap event): identical to
-    /// [`Self::on_bg_poll`] except the next poll's `(time, seq)` key is
-    /// reserved instead of scheduled. The seq allocation sits at the
-    /// exact program point of the reference path's `schedule` — after the
-    /// admission — so tie-breaking is bit-identical.
-    /// Fires an elided poll whose lane entry is still at the top of the
-    /// lane heap (the run loop peeks but does not pop). On re-arm the
-    /// entry is rekeyed in place — one sift instead of a pop + push;
-    /// when the generator retires (dormant or past the horizon) the
-    /// entry is popped.
-    pub fn on_virtual_poll(
-        &mut self,
-        k: &mut SimKernel,
-        dispatch: &mut DispatchEngine,
-        tasks: &mut TaskTable,
-        now: SimTime,
-        gen: usize,
-    ) {
-        let (_, prev_seq) = self.polls[gen].next.take().expect("poll lane is armed");
-        match self.poll_generator(k, dispatch, tasks, now, gen) {
-            Some(next_at) => {
-                let seq = k.queue.alloc_seq();
-                self.polls[gen].next = Some((next_at, seq));
-                k.lanes
-                    .rekey_top(prev_seq, next_at, seq, LaneRef::Poll(gen as u32));
-            }
-            None => {
-                k.lanes.pop();
-            }
-        }
-        if let Some(p) = k.perf.as_mut() {
-            p.report.elided_bg_polls += 1;
-        }
-    }
-
-    /// Common poll body: draw the generator (same RNG call, same program
-    /// point in both paths), admit the arrival, and return the next poll
-    /// time if one is due within the horizon. A poll that finds its node
-    /// down marks the generator dormant — no RNG draw, no reschedule —
-    /// until the fault engine's restart handler re-arms it, so ambient
-    /// load survives crash–restart instead of silently vanishing.
-    pub fn poll_generator(
-        &mut self,
-        k: &mut SimKernel,
-        dispatch: &mut DispatchEngine,
-        tasks: &mut TaskTable,
-        now: SimTime,
-        gen: usize,
-    ) -> Option<SimTime> {
         let node = self.gens[gen].node();
         if !dispatch.nodes[node.index()].alive {
-            self.polls[gen].dormant = true;
-            return None;
+            self.dormant[gen] = true;
+            return;
         }
         let arrival = self.gens[gen].arrive(now, &mut k.rng);
         // A generator yielding `next_at <= now` would re-poll at the
@@ -124,7 +61,9 @@ impl LoadEngine {
             let gid = crate::ids::LoadGenId(gen as u32);
             dispatch.admit_job(k, tasks, now, node, JobKind::Background(gid), arrival.demand, 1);
         }
-        (arrival.next_at <= k.horizon()).then_some(arrival.next_at)
+        if arrival.next_at <= k.horizon() {
+            self.arm_poll(k, dispatch, arrival.next_at, gen);
+        }
     }
 
     /// Re-arms `node`'s dormant generators at `now` (restart re-arm). A
@@ -139,10 +78,10 @@ impl LoadEngine {
         node: NodeId,
     ) {
         for g in 0..self.gens.len() {
-            if self.gens[g].node() != node || !self.polls[g].dormant {
+            if self.gens[g].node() != node || !self.dormant[g] {
                 continue;
             }
-            self.polls[g].dormant = false;
+            self.dormant[g] = false;
             self.arm_poll(k, dispatch, now, g);
         }
     }
@@ -151,8 +90,9 @@ impl LoadEngine {
     /// [`DispatchEngine::bg_ff`] selects: a virtual lane whose seq is
     /// allocated exactly where the reference path schedules its `BgPoll`,
     /// so tie-breaking stays bit-identical.
+    #[inline]
     pub fn arm_poll(
-        &mut self,
+        &self,
         k: &mut SimKernel,
         dispatch: &DispatchEngine,
         at: SimTime,
@@ -160,8 +100,7 @@ impl LoadEngine {
     ) {
         if dispatch.bg_ff {
             let seq = k.queue.alloc_seq();
-            self.polls[gen].next = Some((at, seq));
-            k.lanes.push(at, seq, LaneRef::Poll(gen as u32));
+            k.lanes.arm(LaneRef::BgPoll(gen as u32), at, seq);
         } else {
             k.queue.schedule(at, Ev::BgPoll { gen });
         }

@@ -8,10 +8,10 @@
 //!
 //! | component                  | owns                                         |
 //! |----------------------------|----------------------------------------------|
-//! | [`DispatchEngine`]         | nodes, job slab, quantum chains, boundaries  |
+//! | [`DispatchEngine`]         | nodes, job slab, quantum-chain metadata      |
 //! | [`NetEngine`]              | shared bus, in-flight/retx/dedup state       |
 //! | [`FaultEngine`]            | node death, crash teardown, restart re-arm   |
-//! | [`LoadEngine`]             | background generators and their poll lanes   |
+//! | [`LoadEngine`]             | background generators and their dormancy     |
 //! | [`TaskTable`]              | task runtimes, instances, period bookkeeping |
 //!
 //! `Cluster` (the composition root) owns one of each plus the kernel and

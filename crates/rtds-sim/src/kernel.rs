@@ -3,7 +3,7 @@
 //! [`SimKernel`] owns everything a deterministic discrete-event run needs
 //! *regardless* of what is being simulated: the `(time, seq)`-ordered
 //! [`EventQueue`], the [`ClockModel`], the seeded [`SimRng`] streams, the
-//! [`LaneHeap`] carrying the virtual-lane fast path, the optional
+//! [`Lanes`] carrying the virtual-lane fast path, the optional
 //! [`TraceSink`] / [`PerfState`] observability hooks, the [`RunMetrics`]
 //! accumulator, and the reusable scratch buffers of the hot paths.
 //!
@@ -21,7 +21,7 @@ use crate::clock::ClockModel;
 use crate::cluster::ClusterConfig;
 use crate::event::EventQueue;
 use crate::ids::{MsgId, NodeId, TaskId};
-use crate::lane::LaneHeap;
+use crate::lane::Lanes;
 use crate::metrics::RunMetrics;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
@@ -126,8 +126,9 @@ pub(crate) struct SimKernel {
     /// Master RNG; all stochastic draws flow through here in a fixed
     /// program order (the byte-identity contract).
     pub rng: SimRng,
-    /// Lazy min-heap over all virtual lanes (chains, polls, boundaries).
-    pub lanes: LaneHeap,
+    /// The virtual lanes: each node's next `Dispatch` and each
+    /// generator's next `BgPoll`, off the event queue.
+    pub lanes: Lanes,
     /// Optional structured trace.
     pub trace: Option<TraceSink>,
     /// Instrumentation, present only when `enable_perf` was called. The
@@ -151,7 +152,7 @@ impl SimKernel {
             queue: EventQueue::with_capacity(1024),
             clocks,
             rng,
-            lanes: LaneHeap::default(),
+            lanes: Lanes::default(),
             trace: None,
             perf: None,
             metrics: RunMetrics::default(),

@@ -1,42 +1,46 @@
-//! Lazy min-heap over the engine's *virtual* event lanes.
+//! Virtual event lanes: pending events carried off the event queue.
 //!
-//! PR 1 introduced one virtual lane — the per-node dispatch chain — and
-//! found its minimum by scanning `chains` on every loop iteration. That
-//! scan is O(n_nodes) per event, which is invisible at the paper's 6
-//! nodes but dominates at the large-cluster scales the background-load
-//! fast path targets (64 nodes × one poll lane per generator). The
-//! [`LaneHeap`] replaces the scan: every lane key change pushes a heap
-//! entry, and stale entries (the lane was re-keyed, retired, or fired)
-//! are detected on peek by comparing sequence numbers — seqs are unique
-//! for the lifetime of a run, so `entry.seq == lane.seq` iff the entry
-//! is current.
+//! A lane stands for one pending event that has no external observer
+//! until it fires, so it need not sit in the global [`EventQueue`]. There
+//! are two kinds, each named by the event it stands for:
 //!
-//! Stale entries only arise when a lane is cancelled or re-keyed out of
-//! band (chain truncation, boundary materialization, generator
-//! dormancy), all of which are rare mode transitions; the common path
-//! (arm → fire) pushes exactly one entry and pops it once.
+//! - one per node: its next `Dispatch` (a lone job's quantum chain, or
+//!   the slice boundary of a node running only background work);
+//! - one per background generator: its next `BgPoll`.
+//!
+//! [`Lanes`] owns each lane's live `(at, seq)` key and a lazy min-heap
+//! over the keys. The seq is allocated from the event queue at the exact
+//! program point where the reference path would `schedule` the event, so
+//! same-time tie-breaking is bit-identical to running it as a heap event.
+//! A lane is changed only through [`Lanes::arm`] and [`Lanes::disarm`];
+//! either may leave an earlier heap entry behind, and one liveness rule
+//! sorts them out on [`Lanes::peek`]: an entry is live iff its seq equals
+//! its lane's key (seqs are unique for the lifetime of a run).
+//!
+//! The common path fires a lane and re-arms it from the handler: the
+//! fired entry is still the heap top, so `arm` rewrites it in place — one
+//! sift, no push. Stale entries only arise from rare mode transitions
+//! (a boundary materialized as a real event, a dead node, a retired
+//! generator).
+//!
+//! [`EventQueue`]: crate::event::EventQueue
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Which virtual lane an entry refers to.
+/// A lane, named by the event it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum LaneRef {
-    /// `DispatchEngine::chains[i]`: the elided quantum chain of a lone
-    /// job.
-    Chain(u32),
-    /// `LoadEngine::polls[g]`: the elided next poll of a background
-    /// generator (fast path only).
-    Poll(u32),
-    /// `DispatchEngine::bg_bounds[i]`: the elided dispatch boundary of a
-    /// node running only background work (fast path only).
-    Bound(u32),
+    /// Node `i`'s next `Dispatch`.
+    Dispatch(u32),
+    /// Generator `g`'s next `BgPoll`.
+    BgPoll(u32),
 }
 
-/// One pending lane key. Ordered by `(at, seq)` like the real event
-/// queue; `lane` never participates in ordering because seqs are unique.
+/// One heap entry. Ordered by `(at, seq)` like the real event queue;
+/// `lane` never decides the order because seqs are unique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct LaneEntry {
     /// When the lane fires.
@@ -47,66 +51,88 @@ pub(crate) struct LaneEntry {
     pub lane: LaneRef,
 }
 
-/// Min-heap of lane keys with lazy invalidation (see module docs).
+/// A lane's live key: `(at, seq)`.
+pub(crate) type LaneKey = (SimTime, u64);
+
+/// Every lane's live key plus a lazy min-heap over them (see module docs).
 #[derive(Debug, Default)]
-pub(crate) struct LaneHeap {
+pub(crate) struct Lanes {
     heap: BinaryHeap<Reverse<LaneEntry>>,
+    /// Live key of each node's `Dispatch` lane.
+    dispatch: Vec<Option<LaneKey>>,
+    /// Live key of each generator's `BgPoll` lane.
+    bg_poll: Vec<Option<LaneKey>>,
 }
 
-impl LaneHeap {
-    /// Registers a lane's (new) key. Any previous entry for the same
-    /// lane becomes stale and is dropped on a later peek.
-    #[inline]
-    pub fn push(&mut self, at: SimTime, seq: u64, lane: LaneRef) {
-        self.heap.push(Reverse(LaneEntry { at, seq, lane }));
+impl Lanes {
+    /// The live key of `lane`, if armed.
+    #[inline(always)]
+    pub fn key(&self, lane: LaneRef) -> Option<LaneKey> {
+        match lane {
+            LaneRef::Dispatch(i) => self.dispatch.get(i as usize),
+            LaneRef::BgPoll(g) => self.bg_poll.get(g as usize),
+        }
+        .copied()
+        .flatten()
     }
 
-    /// The earliest entry, without validation. The caller checks it
-    /// against the owning lane's current state and calls
-    /// [`Self::pop`] either to discard it as stale or to consume it.
-    #[inline]
-    pub fn peek(&self) -> Option<LaneEntry> {
-        self.heap.peek().map(|Reverse(e)| *e)
+    #[inline(always)]
+    fn slot(&mut self, lane: LaneRef) -> &mut Option<LaneKey> {
+        let (keys, i) = match lane {
+            LaneRef::Dispatch(i) => (&mut self.dispatch, i as usize),
+            LaneRef::BgPoll(g) => (&mut self.bg_poll, g as usize),
+        };
+        if i >= keys.len() {
+            grow(keys, i);
+        }
+        &mut keys[i]
     }
 
-    /// Removes the earliest entry.
-    #[inline]
-    pub fn pop(&mut self) -> Option<LaneEntry> {
-        self.heap.pop().map(|Reverse(e)| e)
+    /// Arms (or re-arms) `lane` to fire at `at` with the reserved `seq`.
+    /// If the heap top belongs to `lane` — the entry just fired, or one
+    /// this arm makes stale — it is rewritten in place instead of pushing
+    /// a new entry.
+    #[inline(always)]
+    pub fn arm(&mut self, lane: LaneRef, at: SimTime, seq: u64) {
+        *self.slot(lane) = Some((at, seq));
+        let entry = LaneEntry { at, seq, lane };
+        if let Some(mut top) = self.heap.peek_mut() {
+            if top.0.lane == lane {
+                // Dropping the PeekMut sifts the rewritten entry into place.
+                top.0 = entry;
+                return;
+            }
+        }
+        self.heap.push(Reverse(entry));
     }
 
-    /// Replaces the earliest entry's key in place — one sift instead of
-    /// a pop + push pair. This is the self-reschedule shape of the two
-    /// hottest lanes (an intermediate chain link arming the next link, a
-    /// poll arming the next poll): the fired entry is still at the top —
-    /// anything the handler pushed is strictly later — so it can be
-    /// overwritten rather than removed and re-inserted.
-    ///
-    /// # Panics
-    /// Panics if the heap is empty. Debug-asserts that the displaced top
-    /// is `lane` under its previous key (`prev_seq`) and that the new
-    /// key does not precede it, both of which the rekey shape implies.
-    #[inline]
-    pub fn rekey_top(&mut self, prev_seq: u64, at: SimTime, seq: u64, lane: LaneRef) {
-        let mut top = self.heap.peek_mut().expect("rekey_top on empty lane heap");
-        debug_assert_eq!(
-            (top.0.seq, top.0.lane),
-            (prev_seq, lane),
-            "rekey_top displaced a live entry of another lane"
-        );
-        debug_assert!((at, seq) >= (top.0.at, top.0.seq), "rekey moved a lane backwards");
-        top.0 = LaneEntry { at, seq, lane };
-        // Dropping the PeekMut sifts the rewritten entry into place.
+    /// Disarms `lane`, returning its key if it was armed. Its heap entry
+    /// goes stale.
+    #[inline(always)]
+    pub fn disarm(&mut self, lane: LaneRef) -> Option<LaneKey> {
+        self.slot(lane).take()
+    }
+
+    /// The earliest live entry. Stale entries on top are discarded.
+    #[inline(always)]
+    pub fn peek(&mut self) -> Option<LaneEntry> {
+        while let Some(&Reverse(e)) = self.heap.peek() {
+            if self.key(e.lane).is_some_and(|(_, seq)| seq == e.seq) {
+                return Some(e);
+            }
+            self.heap.pop();
+        }
+        None
     }
 
     /// The smallest key among every entry *except* the top. In a binary
     /// min-heap the runner-up is one of the root's two children, so this
-    /// is two slice reads. The result may belong to a stale entry, whose
-    /// key can only be older (smaller) than its lane's live key — safe
-    /// for bounding a burst of top-lane self-reschedules, which stops at
-    /// the bound rather than relying on it being live.
-    #[inline]
-    pub fn runner_up(&self) -> Option<(SimTime, u64)> {
+    /// is two slice reads. The result may belong to a stale entry; by the
+    /// heap property it is still a lower bound on every other live key,
+    /// which is all a burst of top-lane self-reschedules needs: it stops
+    /// at the bound rather than relying on it being live.
+    #[inline(always)]
+    pub fn runner_up(&self) -> Option<LaneKey> {
         let s = self.heap.as_slice();
         match (s.get(1), s.get(2)) {
             (Some(Reverse(a)), Some(Reverse(b))) => Some((a.at, a.seq).min((b.at, b.seq))),
@@ -115,11 +141,19 @@ impl LaneHeap {
         }
     }
 
-    /// Number of entries, counting stale ones.
+    /// Number of heap entries, counting stale ones.
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
+}
+
+/// Sizes a key table to hold index `i` — once per node or generator, so
+/// kept off the hot path.
+#[cold]
+#[inline(never)]
+fn grow(keys: &mut Vec<Option<LaneKey>>, i: usize) {
+    keys.resize(i + 1, None);
 }
 
 #[cfg(test)]
@@ -132,57 +166,66 @@ mod tests {
     }
 
     #[test]
-    fn orders_by_time_then_seq() {
-        let mut h = LaneHeap::default();
-        h.push(t(5), 10, LaneRef::Chain(0));
-        h.push(t(3), 99, LaneRef::Poll(1));
-        h.push(t(3), 7, LaneRef::Bound(2));
-        assert_eq!(h.pop().unwrap().lane, LaneRef::Bound(2));
-        assert_eq!(h.pop().unwrap().lane, LaneRef::Poll(1));
-        assert_eq!(h.pop().unwrap().lane, LaneRef::Chain(0));
-        assert!(h.pop().is_none());
+    fn peeks_live_lanes_by_time_then_seq() {
+        let mut l = Lanes::default();
+        l.arm(LaneRef::Dispatch(0), t(5), 10);
+        l.arm(LaneRef::BgPoll(1), t(3), 99);
+        l.arm(LaneRef::Dispatch(2), t(3), 7);
+        for want in [LaneRef::Dispatch(2), LaneRef::BgPoll(1), LaneRef::Dispatch(0)] {
+            assert_eq!(l.peek().unwrap().lane, want);
+            l.disarm(want);
+        }
+        assert!(l.peek().is_none());
     }
 
     #[test]
     fn runner_up_is_the_second_smallest_key() {
-        let mut h = LaneHeap::default();
-        assert_eq!(h.runner_up(), None);
-        h.push(t(5), 3, LaneRef::Chain(0));
-        assert_eq!(h.runner_up(), None, "lone entry has no runner-up");
-        h.push(t(2), 9, LaneRef::Poll(1));
-        assert_eq!(h.runner_up(), Some((t(5), 3)));
-        h.push(t(3), 4, LaneRef::Bound(2));
-        assert_eq!(h.runner_up(), Some((t(3), 4)));
-        h.pop();
-        assert_eq!(h.runner_up(), Some((t(5), 3)));
+        let mut l = Lanes::default();
+        assert_eq!(l.runner_up(), None);
+        l.arm(LaneRef::Dispatch(0), t(5), 3);
+        assert_eq!(l.runner_up(), None, "lone entry has no runner-up");
+        l.arm(LaneRef::BgPoll(1), t(2), 9);
+        assert_eq!(l.runner_up(), Some((t(5), 3)));
+        l.arm(LaneRef::Dispatch(2), t(3), 4);
+        assert_eq!(l.runner_up(), Some((t(3), 4)));
+        l.disarm(LaneRef::BgPoll(1));
+        l.peek();
+        assert_eq!(l.runner_up(), Some((t(5), 3)));
     }
 
     #[test]
-    fn rekey_top_replaces_without_growing_the_heap() {
-        let mut h = LaneHeap::default();
-        h.push(t(1), 0, LaneRef::Poll(0));
-        h.push(t(5), 1, LaneRef::Chain(1));
-        // Poll 0 fires at t=1 and re-arms itself at t=8: same heap slot,
-        // new key, no stale residue.
-        h.rekey_top(0, t(8), 2, LaneRef::Poll(0));
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.pop().unwrap().lane, LaneRef::Chain(1));
-        let e = h.pop().unwrap();
-        assert_eq!((e.at, e.seq, e.lane), (t(8), 2, LaneRef::Poll(0)));
+    fn rearming_a_fired_lane_rewrites_the_top_in_place() {
+        let mut l = Lanes::default();
+        l.arm(LaneRef::BgPoll(0), t(1), 0);
+        l.arm(LaneRef::Dispatch(1), t(5), 1);
+        // Poll 0 fires at t=1 (disarmed, entry still on top) and its
+        // handler re-arms it at t=8: same heap slot, no stale residue.
+        assert_eq!(l.disarm(LaneRef::BgPoll(0)), Some((t(1), 0)));
+        l.arm(LaneRef::BgPoll(0), t(8), 2);
+        assert_eq!(l.len(), 2);
+        assert_eq!(l.peek().unwrap().lane, LaneRef::Dispatch(1));
+        l.disarm(LaneRef::Dispatch(1));
+        let e = l.peek().unwrap();
+        assert_eq!((e.at, e.seq, e.lane), (t(8), 2, LaneRef::BgPoll(0)));
     }
 
     #[test]
-    fn rekeyed_lane_leaves_a_stale_entry_behind() {
-        let mut h = LaneHeap::default();
-        h.push(t(4), 1, LaneRef::Poll(0));
-        // Lane 0 is re-keyed: seq 1 is now stale, seq 2 is current.
-        h.push(t(2), 2, LaneRef::Poll(0));
-        assert_eq!(h.len(), 2);
-        let head = h.peek().unwrap();
-        assert_eq!((head.at, head.seq), (t(2), 2));
-        h.pop();
-        // The stale entry surfaces next; a caller comparing seqs against
-        // the lane's current key would discard it.
-        assert_eq!(h.pop().unwrap().seq, 1);
+    fn disarmed_or_rearmed_lanes_leave_stale_entries_that_peek_discards() {
+        let mut l = Lanes::default();
+        l.arm(LaneRef::BgPoll(0), t(4), 1);
+        l.arm(LaneRef::Dispatch(3), t(1), 2);
+        // Lane BgPoll(0) is not on top, so re-arming it pushes: seq 1 is
+        // now stale, seq 3 is live.
+        l.arm(LaneRef::BgPoll(0), t(2), 3);
+        assert_eq!(l.len(), 3);
+        assert_eq!(l.key(LaneRef::BgPoll(0)), Some((t(2), 3)));
+        assert_eq!(l.disarm(LaneRef::Dispatch(3)), Some((t(1), 2)));
+        assert_eq!(l.key(LaneRef::Dispatch(3)), None);
+        let head = l.peek().unwrap();
+        assert_eq!((head.at, head.seq), (t(2), 3));
+        assert_eq!(l.len(), 2, "the disarmed entry was discarded");
+        l.disarm(LaneRef::BgPoll(0));
+        assert!(l.peek().is_none());
+        assert_eq!(l.len(), 0, "the stale entry was discarded too");
     }
 }

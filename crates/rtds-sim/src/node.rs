@@ -20,12 +20,12 @@ pub struct Running {
     /// Scheduled end of the slice (quantum boundary or job completion).
     pub slice_end: SimTime,
     /// Handle of the pending dispatch event, for cancellation on reconfig.
-    /// `None` while the slice is carried by one of the cluster's virtual
-    /// lanes instead of the heap: the dispatch chain (a lone job whose
+    /// `None` while the slice end is carried by the node's virtual lane
+    /// instead of the heap: a dispatch chain (a lone job whose
     /// per-quantum dispatches are elided) or, with the background-load
-    /// fast path, the boundary lane of a node running only background
-    /// jobs. Lane teardown never needs cancellation — clearing the lane's
-    /// key invalidates its heap entry.
+    /// fast path, the boundary of a node running only background jobs.
+    /// Lane teardown never needs cancellation — disarming the lane
+    /// invalidates its heap entry.
     pub dispatch_handle: Option<EventHandle>,
 }
 
