@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use rtds_sim::perf::{PerfReport, PHASE_NAMES};
+use rtds_sim::perf::PerfReport;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static PROBE: OnceLock<fn() -> u64> = OnceLock::new();
@@ -31,7 +31,7 @@ pub struct Aggregate {
     pub alloc_runs: u64,
     /// Control epochs contributed by those probed runs only.
     pub alloc_epochs: u64,
-    /// Element-wise sum of every run's report.
+    /// Every run's report, folded with `+=`.
     pub report: PerfReport,
 }
 
@@ -72,27 +72,11 @@ pub fn record(r: &PerfReport) {
     let mut guard = AGG.lock().unwrap_or_else(|e| e.into_inner());
     let agg = guard.get_or_insert_with(Aggregate::default);
     agg.runs += 1;
-    for i in 0..PHASE_NAMES.len() {
-        agg.report.events[i] += r.events[i];
-        agg.report.ns[i] += r.ns[i];
-    }
-    agg.report.queue.scheduled += r.queue.scheduled;
-    agg.report.queue.popped += r.queue.popped;
-    agg.report.queue.cancelled += r.queue.cancelled;
-    agg.report.queue.compactions += r.queue.compactions;
-    agg.report.queue.heap_high_water =
-        agg.report.queue.heap_high_water.max(r.queue.heap_high_water);
-    agg.report.elided_dispatches += r.elided_dispatches;
-    agg.report.elided_bg_polls += r.elided_bg_polls;
-    agg.report.elided_bg_dispatches += r.elided_bg_dispatches;
-    agg.report.control_epochs += r.control_epochs;
-    agg.report.controller_ns += r.controller_ns;
-    if let Some(a) = r.epoch_allocs {
-        *agg.report.epoch_allocs.get_or_insert(0) += a;
+    agg.report += r;
+    if r.epoch_allocs.is_some() {
         agg.alloc_runs += 1;
         agg.alloc_epochs += r.control_epochs;
     }
-    agg.report.wall_ns += r.wall_ns;
 }
 
 /// A snapshot of the aggregate, if any runs were recorded.

@@ -14,6 +14,7 @@
 //! allocation numbers install their own counting allocator and pass its
 //! reader in (see `run_all --perf`).
 
+use std::ops::AddAssign;
 use std::time::Instant;
 
 use crate::event::QueueStats;
@@ -51,14 +52,15 @@ pub struct PerfReport {
     /// Wall nanoseconds inside the controller (subset of the
     /// `period_release` phase).
     pub controller_ns: u64,
-    /// Per-quantum dispatch events elided by the virtual dispatch chain
-    /// (lone jobs run without round-trips through the event heap).
+    /// Intermediate links of the virtual dispatch chains: per-quantum
+    /// dispatches of lone jobs, replayed on the node lanes without a
+    /// round-trip through the event heap.
     pub elided_dispatches: u64,
-    /// `BgPoll` events elided by the background-load fast path: polls
-    /// carried on virtual lanes instead of the event heap.
+    /// `BgPoll` events fired from the generator lanes of the
+    /// background-load fast path instead of the event heap (untimed).
     pub elided_bg_polls: u64,
-    /// Slice-boundary `Dispatch` events of background-only nodes elided
-    /// by the background-load fast path (fired as direct handler calls).
+    /// `Dispatch` events of background-only nodes fired from the node
+    /// lanes by the background-load fast path (untimed).
     pub elided_bg_dispatches: u64,
     /// Heap allocations observed across all control epochs, if an
     /// allocation probe was supplied.
@@ -68,11 +70,6 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Total events handled.
-    pub fn total_events(&self) -> u64 {
-        self.events.iter().sum()
-    }
-
     /// Mean heap allocations per control epoch, if probed.
     pub fn allocs_per_epoch(&self) -> Option<f64> {
         let a = self.epoch_allocs?;
@@ -82,17 +79,23 @@ impl PerfReport {
         Some(a as f64 / self.control_epochs as f64)
     }
 
-    /// Renders an aligned, human-readable table.
+    /// Renders an aligned, human-readable table. The headline counts
+    /// heap events popped plus untimed lane fires (the three `elided_*`
+    /// counters), which between them carry nearly all of a run's work.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let total = self.total_events().max(1);
+        let lane_fires =
+            self.elided_dispatches + self.elided_bg_polls + self.elided_bg_dispatches;
+        let total = self.queue.popped + lane_fires;
         let _ = writeln!(
             out,
-            "perf: {} events in {:.1} ms ({:.0} ns/event)",
-            self.total_events(),
+            "perf: {} events ({} heap + {} lane fires) in {:.1} ms ({:.0} ns/event)",
+            total,
+            self.queue.popped,
+            lane_fires,
             self.wall_ns as f64 / 1e6,
-            self.wall_ns as f64 / total as f64,
+            self.wall_ns as f64 / total.max(1) as f64,
         );
         let _ = writeln!(out, "  {:<16} {:>12} {:>12} {:>10}", "phase", "events", "ms", "ns/event");
         for (i, name) in PHASE_NAMES.iter().enumerate() {
@@ -149,6 +152,33 @@ impl PerfReport {
     }
 }
 
+/// Folds another run's report into this one: every count and time sums,
+/// `heap_high_water` takes the max, and `epoch_allocs` sums over the runs
+/// that were probed.
+impl AddAssign<&PerfReport> for PerfReport {
+    fn add_assign(&mut self, r: &PerfReport) {
+        for i in 0..N_PHASES {
+            self.events[i] += r.events[i];
+            self.ns[i] += r.ns[i];
+        }
+        let (q, rq) = (&mut self.queue, &r.queue);
+        q.scheduled += rq.scheduled;
+        q.popped += rq.popped;
+        q.cancelled += rq.cancelled;
+        q.compactions += rq.compactions;
+        q.heap_high_water = q.heap_high_water.max(rq.heap_high_water);
+        self.control_epochs += r.control_epochs;
+        self.controller_ns += r.controller_ns;
+        self.elided_dispatches += r.elided_dispatches;
+        self.elided_bg_polls += r.elided_bg_polls;
+        self.elided_bg_dispatches += r.elided_bg_dispatches;
+        if let Some(a) = r.epoch_allocs {
+            *self.epoch_allocs.get_or_insert(0) += a;
+        }
+        self.wall_ns += r.wall_ns;
+    }
+}
+
 /// Live instrumentation state owned by a running cluster.
 pub(crate) struct PerfState {
     pub report: PerfReport,
@@ -200,20 +230,57 @@ mod tests {
         let s = r.render();
         assert!(!s.contains("bg_poll-elided"));
         assert!(!s.contains("bg_disp-elided"));
+        assert!(s.starts_with("perf: 0 events (0 heap + 0 lane fires)"), "{s}");
+        r.queue.popped = 100;
+        r.elided_dispatches = 1_000;
         r.elided_bg_polls = 42;
         r.elided_bg_dispatches = 7;
+        r.wall_ns = 1_149_000;
         let s = r.render();
         assert!(s.contains("bg_poll-elided"), "missing bg poll line:\n{s}");
         assert!(s.contains("42"));
         assert!(s.contains("bg_disp-elided"), "missing bg dispatch line:\n{s}");
+        // The headline counts heap pops plus lane fires, and divides the
+        // wall time by both.
+        let headline = "perf: 1149 events (100 heap + 1049 lane fires) in 1.1 ms (1000 ns/event)";
+        assert!(s.starts_with(headline), "headline must count lane fires:\n{s}");
     }
 
     #[test]
-    fn total_events_sums_all_phases() {
-        let r = PerfReport {
-            events: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-            ..Default::default()
+    fn add_assign_folds_every_field() {
+        // Every field distinct: `base` plus `k` times a per-field constant.
+        // The literals name every field, so a new field fails to compile
+        // here until the fold above handles it.
+        let report = |base: u64, k: u64| PerfReport {
+            events: std::array::from_fn(|i| base + k * i as u64),
+            ns: std::array::from_fn(|i| base + k * (100 + i as u64)),
+            queue: QueueStats {
+                scheduled: base + 11 * k,
+                popped: base + 12 * k,
+                cancelled: base + 13 * k,
+                compactions: base + 14 * k,
+                heap_high_water: (base + 15 * k) as usize,
+            },
+            control_epochs: base + 16 * k,
+            controller_ns: base + 17 * k,
+            elided_dispatches: base + 18 * k,
+            elided_bg_polls: base + 19 * k,
+            elided_bg_dispatches: base + 20 * k,
+            epoch_allocs: Some(base + 21 * k),
+            wall_ns: base + 22 * k,
         };
-        assert_eq!(r.total_events(), 66);
+        let mut acc = report(1_000, 1);
+        acc += &report(5_000, 1);
+        let mut want = report(6_000, 2);
+        want.queue.heap_high_water = 5_015; // the max, not the sum
+        assert_eq!(format!("{acc:?}"), format!("{want:?}"));
+
+        // Allocation counts sum over probed runs only.
+        let mut acc = PerfReport::default();
+        acc += &PerfReport::default();
+        assert_eq!(acc.epoch_allocs, None, "no probe, no count");
+        acc += &report(0, 1);
+        acc += &PerfReport::default();
+        assert_eq!(acc.epoch_allocs, Some(21));
     }
 }
