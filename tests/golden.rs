@@ -1,21 +1,49 @@
-//! Golden-file regression test: the quick triangular sweep must produce
-//! byte-identical CSV output run over run. Guards the entire pipeline
-//! (simulator, algorithms, metrics, reporting) against unintended
-//! behavioral drift — any change to this file's expectations should be a
-//! deliberate, review-worthy event.
+//! Golden-file regression tests: the quick triangular sweep and the
+//! manager-feature extension figures must produce byte-identical output
+//! run over run. Guards the entire pipeline (simulator, algorithms,
+//! metrics, reporting) against unintended behavioral drift — any change
+//! to these files' expectations should be a deliberate, review-worthy
+//! event.
 //!
 //! To regenerate after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test -p rtds --test golden`
 
 use std::path::PathBuf;
 
+use rtds::experiments::figures::extensions as ext;
+use rtds::experiments::figures::{FigureOptions, FigureOutput};
 use rtds::experiments::models::quick_predictor;
 use rtds::experiments::report::Table;
-use rtds::experiments::scenario::PatternSpec;
+use rtds::experiments::scenario::{
+    run_scenario, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
+};
 use rtds::experiments::sweep::{run_sweep, SweepConfig};
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig9_quick.csv")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+}
+
+/// Compares `actual` with the named golden file, or rewrites the file
+/// when `UPDATE_GOLDEN` is set.
+fn check_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        eprintln!("golden file updated: {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test -p rtds --test golden",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, golden,
+        "{name} drifted from the golden file; if intentional, \
+         regenerate with UPDATE_GOLDEN=1"
+    );
 }
 
 fn produce_csv() -> String {
@@ -49,23 +77,63 @@ fn produce_csv() -> String {
 
 #[test]
 fn quick_sweep_matches_golden_output() {
-    let csv = produce_csv();
-    let path = golden_path();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &csv).unwrap();
-        eprintln!("golden file updated: {}", path.display());
-        return;
+    check_golden("fig9_quick.csv", &produce_csv());
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One extension figure per manager-loop feature, plus the decision
+/// stream of an observed predictive run with a node failure, so the
+/// order in which the loop emits repair, replicate and no-op records is
+/// pinned too.
+fn produce_manager_report() -> String {
+    let opts = FigureOptions {
+        quick: true,
+        out_dir: std::env::temp_dir().join("rtds-golden-manager"),
+        threads: 1,
+        fitted_models: false,
+    };
+    let figures: [fn(&FigureOptions) -> FigureOutput; 6] = [
+        ext::ext_decentralized,     // coordination mode
+        ext::ext_survivability,     // repair
+        ext::ext_online_refinement, // refine
+        ext::ext_control_latency,   // act_every
+        ext::ext_multitask,         // CompositeManager
+        ext::ext_forecast_value,    // incremental policy
+    ];
+    let mut out = String::new();
+    for figure in figures {
+        let f = figure(&opts);
+        out.push_str(&format!("== {} ==\n{}\n", f.id, f.text));
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test -p rtds --test golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        csv, golden,
-        "sweep output drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+
+    let mut cfg = ScenarioConfig::paper(
+        PatternSpec::Triangular { half_period: 10 },
+        PolicySpec::Predictive,
+        12_000,
     );
+    cfg.n_periods = 40;
+    cfg.failures = vec![(4, 20)];
+    cfg.observe = ObserveConfig::full();
+    let r = run_scenario(&cfg, &quick_predictor());
+    let jsonl = rtds::experiments::decisions_jsonl(&r.decisions);
+    for arm in ["Repair", "Replicate", "NoOp"] {
+        assert!(jsonl.contains(&format!("\"arm\":\"{arm}\"")), "no {arm} record");
+    }
+    out.push_str(&format!(
+        "== decisions (predictive, node 4 fails at 20 s) ==\nlines: {}\nfnv1a64: {:016x}\n",
+        jsonl.lines().count(),
+        fnv1a64(jsonl.as_bytes())
+    ));
+    out
+}
+
+#[test]
+fn manager_extensions_match_golden_output() {
+    check_golden("manager_extensions_quick.txt", &produce_manager_report());
 }
