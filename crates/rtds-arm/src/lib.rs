@@ -15,7 +15,8 @@
 //! * [`nonpredictive`] — the heuristic baseline (Fig. 7) and the shared
 //!   `ShutDownAReplica` rule (Fig. 6);
 //! * [`manager`] — the full control loop as a simulator
-//!   [`Controller`](rtds_sim::control::Controller);
+//!   [`Controller`](rtds_sim::control::Controller), centralized or as
+//!   decentralized per-stage agents;
 //! * [`audit`] — decision records explaining every replicate / shut-down
 //!   / no-op choice, for the observability layer;
 //! * [`config`] — Table 1 constants and policy selection;
@@ -43,7 +44,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod decentralized;
 pub mod eqf;
 pub mod manager;
 pub mod metrics;
@@ -58,7 +58,6 @@ pub mod prelude {
     pub use crate::audit::{CandidateForecast, DecisionArm, DecisionRecord};
     pub use crate::config::{ArmConfig, Policy};
     pub use crate::eqf::{assign_deadlines, DeadlineAssignment, EqfVariant};
-    pub use crate::decentralized::DecentralizedManager;
     pub use crate::manager::{CompositeManager, ManagerStats, ResourceManager};
     pub use crate::metrics::{combined_breakdown, combined_metric, combined_metric_weighted, CombinedBreakdown, MetricWeights};
     pub use crate::monitor::{assess_stage, classify, MonitorConfig, SlackTracker, StageHealth};

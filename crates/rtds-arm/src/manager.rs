@@ -1,21 +1,41 @@
 //! The adaptive resource manager (paper Fig. 1 and §4).
 //!
-//! [`ResourceManager`] implements the simulator's
-//! [`Controller`] interface and runs the
-//! paper's two-step loop at every period boundary:
+//! [`ResourceManager`] implements the simulator's [`Controller`]
+//! interface and runs the paper's loop at every period boundary as named
+//! steps:
 //!
-//! 1. **Monitor** (shared by both policies, §4.1): assign individual
-//!    deadlines to subtasks and messages with EQF, measure each subtask's
-//!    slack from the completed instance's observations, and identify
-//!    candidates for replication (slack too low / deadline missed) or
-//!    replica shutdown (very high slack, with hysteresis).
-//! 2. **Allocate** (policy-specific, §4.2): the predictive algorithm
-//!    (Fig. 5) forecasts replica timeliness with the fitted regression
-//!    models and adds the least-utilized processors until the forecast
-//!    fits; the non-predictive algorithm (Fig. 7) replicates onto every
-//!    processor under the utilization threshold. Both share the Fig. 6
-//!    shutdown rule. Deadlines are re-assigned after every action, as §4.1
-//!    prescribes.
+//! 1. **Repair:** drop dead nodes from every replica set and re-home a
+//!    stage whose whole set died (survivability, §1).
+//! 2. **Score + refine:** grade the Eq. (3)/(4) forecasts against the
+//!    completed observations, then (online refinement) absorb them into
+//!    the Eq. (3) models.
+//! 3. **Monitor** (§4.1, every policy): measure each subtask's slack
+//!    against its EQF budget; flag replication candidates (low slack or a
+//!    miss) and shutdown candidates (sustained very high slack).
+//! 4. **Act** (§4.2, per policy): the predictive algorithm (Fig. 5) adds
+//!    the least-utilized processors until the forecast fits; the
+//!    non-predictive one (Fig. 7) takes every processor under the
+//!    utilization threshold; both share the Fig. 6 shutdown rule.
+//! 5. **Deadlines:** assign EQF deadlines at the first boundary and
+//!    re-assign them after every action (§4.1).
+//!
+//! ## Decentralized coordination
+//!
+//! The paper argues asynchronous real-time applications "require
+//! decentralization because of the physical distribution of application
+//! resources and for achieving survivability" (§1), yet presents one
+//! global decision procedure. [`ResourceManager::decentralized`] makes
+//! the cost measurable: every stage becomes an independent agent that
+//! decides without seeing what the others chose this round. Only two
+//! things differ: the **deadlines** step keeps the initial EQF budgets
+//! for the whole run (re-assignment would need coordination), and the
+//! **utilization view** the act step reads is `staleness` periods old
+//! (state dissemination lags). The failure mode this surfaces is
+//! *herding*: agents that see the same idle node all take it, and with
+//! stale state keep chasing utilization that no longer exists;
+//! `ext_decentralized` measures it against the centralized manager.
+
+use std::collections::VecDeque;
 
 use rtds_sim::control::{ControlAction, ControlContext, Controller, PeriodObservation};
 use rtds_sim::ids::{NodeId, SubtaskIdx, TaskId};
@@ -37,6 +57,42 @@ use crate::predictor::Predictor;
 struct AllocAudit {
     candidates: Vec<CandidateForecast>,
     out_of_processors: bool,
+}
+
+/// How the manager's per-stage decisions are coordinated.
+enum Coordination {
+    /// The paper's global loop: current utilization, deadlines
+    /// re-assigned after every action.
+    Centralized,
+    /// Independent per-stage agents: frozen initial budgets and a
+    /// utilization view `staleness` periods old.
+    Decentralized {
+        staleness: usize,
+        /// Past utilization snapshots, oldest first; the newest is the
+        /// current epoch's.
+        history: VecDeque<Vec<f64>>,
+    },
+}
+
+/// The monitor's latest reading of one replicable stage.
+#[derive(Debug, Clone, Copy)]
+struct StageReading {
+    health: StageHealth,
+    tracks: u64,
+    /// Observed stage latency (exec + inbound message), ms — the decision
+    /// record derives observed slack from it.
+    observed_ms: f64,
+}
+
+/// What the monitor step saw this epoch.
+struct Monitored {
+    /// Latest reading per stage (`None` for non-replicable stages and
+    /// stages without a completed observation).
+    latest: Vec<Option<StageReading>>,
+    /// Per stage: sustained high slack, ready for a replica shutdown.
+    shutdown_ready: Vec<bool>,
+    /// A period was shed under overload (no per-stage data).
+    saw_shed: bool,
 }
 
 /// Counters describing what the manager has done, for reports and tests.
@@ -61,6 +117,7 @@ pub struct ResourceManager {
     predictor: Predictor,
     /// The task this manager is responsible for.
     task: TaskId,
+    coordination: Coordination,
     deadlines: Option<DeadlineAssignment>,
     tracker: SlackTracker,
     stats: ManagerStats,
@@ -81,7 +138,7 @@ pub struct ResourceManager {
 }
 
 impl ResourceManager {
-    /// Creates a manager for task 0 of the cluster.
+    /// Creates a centralized manager for task 0 of the cluster.
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
@@ -99,6 +156,7 @@ impl ResourceManager {
             cfg,
             predictor,
             task: TaskId(0),
+            coordination: Coordination::Centralized,
             deadlines: None,
             tracker: SlackTracker::new(n),
             stats: ManagerStats::default(),
@@ -112,6 +170,18 @@ impl ResourceManager {
                 .map(|j| ForecastResidualStat::new(0, j as u32, ResidualKind::Comm))
                 .collect(),
         }
+    }
+
+    /// Switches to decentralized coordination (see the module docs):
+    /// frozen initial budgets and a utilization view `staleness` periods
+    /// old. `staleness` = 0 means agents see current utilization but
+    /// still decide independently with fixed budgets.
+    pub fn decentralized(mut self, staleness: usize) -> Self {
+        self.coordination = Coordination::Decentralized {
+            staleness,
+            history: VecDeque::new(),
+        };
+        self
     }
 
     /// Attaches a decision-audit sink: every subsequent control cycle
@@ -149,11 +219,226 @@ impl ResourceManager {
         self.deadlines.as_ref()
     }
 
-    /// (Re-)assigns subtask and message deadlines from the current
-    /// conditions: per-replica data shares and mean replica-set
-    /// utilizations feed the regression estimates that EQF divides the
-    /// end-to-end deadline by.
-    fn reassign_deadlines(&mut self, ctx: &ControlContext, placements: &[Vec<NodeId>]) {
+    /// The action that moves `stage` of this task onto `nodes`.
+    fn set_placement(&self, stage: usize, nodes: Vec<NodeId>) -> ControlAction {
+        ControlAction::SetPlacement {
+            task: self.task,
+            subtask: SubtaskIdx::from_index(stage),
+            nodes,
+        }
+    }
+
+    /// Step 1, repair: drops dead nodes from every replica set and
+    /// re-homes a stage whose whole set died on the least-utilized alive
+    /// node.
+    fn repair(
+        &mut self,
+        ctx: &ControlContext,
+        placements: &mut [Vec<NodeId>],
+        actions: &mut Vec<ControlAction>,
+    ) {
+        for (j, ps) in placements.iter_mut().enumerate() {
+            if ps.iter().all(|n| ctx.alive[n.index()]) {
+                continue;
+            }
+            let mut repaired: Vec<NodeId> =
+                ps.iter().copied().filter(|n| ctx.alive[n.index()]).collect();
+            if repaired.is_empty() {
+                match ctx.least_utilized_excluding(&[]) {
+                    Some(n) => repaired.push(n),
+                    None => continue, // whole cluster dead; nothing to do
+                }
+            }
+            self.stats.repairs += 1;
+            let before = std::mem::replace(ps, repaired.clone());
+            self.emit_decision(ctx, j, DecisionArm::Repair, None, None, &before, &repaired);
+            actions.push(self.set_placement(j, repaired));
+        }
+    }
+
+    /// Step 2, score + refine: grades the Eq. (3)/(4) forecasts of every
+    /// completed stage observation (predictive policy) and feeds it to the
+    /// online refiner, computing each placement's mean utilization once.
+    /// Refined models are written back after the pass, so grading never
+    /// sees a model that has absorbed the observation it grades.
+    fn score_and_refine(&mut self, completed: &[PeriodObservation], ctx: &ControlContext) {
+        let score = matches!(self.cfg.policy, Policy::Predictive);
+        if !score && self.refiners.is_none() {
+            return;
+        }
+        // Bitmask of stages that absorbed at least one observation: only
+        // those models are exported back into the predictor, so an epoch's
+        // refit cost scales with what actually completed, not with
+        // pipeline length. (For the hypothetical ≥64-stage pipeline the
+        // top bit over-approximates, which merely re-exports an unchanged
+        // model.)
+        let mut touched: u64 = 0;
+        for obs in completed.iter().filter(|o| o.task == self.task) {
+            for st in &obs.stages {
+                let j = st.subtask.index();
+                let ps = &ctx.placements[self.task.index()][j];
+                let u = if ps.is_empty() {
+                    self.cfg.u_init_pct
+                } else {
+                    let sum: f64 = ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum();
+                    sum / ps.len() as f64
+                };
+                if score {
+                    let share = st.tracks.div_ceil(u64::from(st.replicas.max(1)));
+                    let eex = self.predictor.eex(j, share, u).as_millis_f64();
+                    self.exec_residuals[j].observe(eex, st.exec_latency.as_millis_f64());
+                    if j > 0 {
+                        let ecd = self.predictor.ecd(j - 1, share, ctx.total_tracks());
+                        self.comm_residuals[j]
+                            .observe(ecd.as_millis_f64(), st.inbound_msg_delay.as_millis_f64());
+                    }
+                }
+                if let Some(refiners) = self.refiners.as_mut() {
+                    let d = st.tracks as f64 / st.replicas.max(1) as f64 / 100.0;
+                    refiners[j].observe(d, u, st.exec_latency.as_millis_f64());
+                    touched |= 1u64 << j.min(63);
+                }
+            }
+        }
+        if let Some(refiners) = &self.refiners {
+            for (j, r) in refiners.iter().enumerate() {
+                if touched & (1u64 << j.min(63)) != 0 {
+                    self.predictor.set_exec_model(j, r.model());
+                }
+            }
+        }
+    }
+
+    /// Step 3, monitor: feeds every completed instance of the task through
+    /// the slack monitor in order; the act step uses the most recent
+    /// reading of each replicable stage.
+    fn monitor(&mut self, completed: &[PeriodObservation], ctx: &ControlContext) -> Monitored {
+        let n = self.predictor.n_stages();
+        let mut seen = Monitored {
+            latest: vec![None; n],
+            shutdown_ready: vec![false; n],
+            saw_shed: false,
+        };
+        let deadlines = self.deadlines.as_ref().expect("deadlines initialized");
+        for obs in completed.iter().filter(|o| o.task == self.task) {
+            if obs.stages.is_empty() {
+                seen.saw_shed |= obs.missed;
+                continue;
+            }
+            for st in &obs.stages {
+                let j = st.subtask.index();
+                if !ctx.replicable[self.task.index()][j] {
+                    continue;
+                }
+                let health = assess_stage(st, deadlines, &self.cfg.monitor);
+                seen.shutdown_ready[j] =
+                    self.tracker.observe(j, health, self.cfg.monitor.shutdown_patience);
+                seen.latest[j] = Some(StageReading {
+                    health,
+                    tracks: st.tracks,
+                    observed_ms: (st.exec_latency + st.inbound_msg_delay).as_millis_f64(),
+                });
+            }
+        }
+        seen
+    }
+
+    /// Step 4, act: on an acting cycle, replicates each replicable stage
+    /// that needs it, shuts down a replica of a stage with sustained high
+    /// slack, or records an explicit no-op.
+    fn act(
+        &mut self,
+        ctx: &ControlContext,
+        seen: &Monitored,
+        utils: &[f64],
+        placements: &mut [Vec<NodeId>],
+        actions: &mut Vec<ControlAction>,
+    ) {
+        self.invocations += 1;
+        if !self.invocations.is_multiple_of(u64::from(self.cfg.act_every)) {
+            return; // between control rounds: monitor only
+        }
+        let t = self.task.index();
+        for j in (0..self.predictor.n_stages()).filter(|&j| ctx.replicable[t][j]) {
+            let reading = seen.latest[j];
+            let needs = match reading {
+                Some(r) => r.health.needs_replication(),
+                // A shed period under overload gives no per-stage data;
+                // treat every replicable stage as a candidate so the
+                // manager can react at all (every policy equally).
+                None => seen.saw_shed,
+            };
+            let (arm, new, alloc) = if needs {
+                let tracks = reading.map_or(ctx.last_tracks[t], |r| r.tracks);
+                let mut alloc = self.audit.is_some().then(AllocAudit::default);
+                let new = self.allocate(j, &placements[j], tracks, utils, ctx, alloc.as_mut());
+                (DecisionArm::Replicate, new, alloc)
+            } else if seen.shutdown_ready[j] && placements[j].len() > 1 {
+                (DecisionArm::ShutDown, shutdown_a_replica(&placements[j]), None)
+            } else if self.audit.is_some() {
+                // Explicit no-op: the stage was examined on an acting
+                // cycle and left alone.
+                (DecisionArm::NoOp, placements[j].clone(), None)
+            } else {
+                continue;
+            };
+            self.emit_decision(ctx, j, arm, reading, alloc, &placements[j], &new);
+            if new == placements[j] {
+                continue;
+            }
+            if arm == DecisionArm::ShutDown {
+                self.stats.shutdowns += 1;
+            } else {
+                self.stats.replications += 1;
+            }
+            placements[j] = new.clone();
+            actions.push(self.set_placement(j, new));
+        }
+    }
+
+    /// Step 5, deadlines: the initial EQF assignment, and (centralized
+    /// only) the §4.1 re-assignment after an action. Centralized estimates
+    /// come from the current conditions — per-replica data shares and mean
+    /// replica-set utilizations; decentralized budgets come once from the
+    /// initial conditions and stay frozen.
+    fn update_deadlines(&mut self, ctx: &ControlContext, placements: &[Vec<NodeId>]) {
+        let (exec, comm) = match self.coordination {
+            Coordination::Decentralized { .. } if self.deadlines.is_some() => return,
+            Coordination::Decentralized { .. } => self.predictor.initial_estimates(
+                self.cfg.d_init_tracks,
+                self.cfg.u_init_pct,
+                self.cfg.d_init_tracks,
+            ),
+            Coordination::Centralized => self.current_estimates(ctx, placements),
+        };
+        let n = self.predictor.n_stages();
+        let deadline = ctx.deadlines[self.task.index()];
+        match try_assign_deadlines(&exec, &comm, deadline, self.cfg.eqf) {
+            Ok(a) => {
+                self.deadlines = Some(a);
+                self.stats.deadline_reassignments += 1;
+            }
+            Err(_) => {
+                // Degenerate estimates (e.g. right after a crash wiped the
+                // task's observations) must not take down the control
+                // plane: keep the previous assignment, or fall back to a
+                // uniform split if none exists yet.
+                if self.deadlines.is_none() {
+                    let (ones, msg_ones) = (vec![1.0; n], vec![1.0; n.saturating_sub(1)]);
+                    let uniform = assign_deadlines(&ones, &msg_ones, deadline, self.cfg.eqf);
+                    self.deadlines = Some(uniform);
+                }
+            }
+        }
+    }
+
+    /// Per-stage `eex` and per-message `ecd` estimates (ms) under the
+    /// current conditions and `placements`.
+    fn current_estimates(
+        &self,
+        ctx: &ControlContext,
+        placements: &[Vec<NodeId>],
+    ) -> (Vec<f64>, Vec<f64>) {
         let tracks = ctx.last_tracks[self.task.index()].max(self.cfg.d_init_tracks.max(1));
         let total = ctx.total_tracks().max(tracks);
         let n = self.predictor.n_stages();
@@ -192,59 +477,54 @@ impl ResourceManager {
                 self.predictor.ecd(j, share, total).as_millis_f64()
             })
             .collect();
-        match try_assign_deadlines(&exec, &comm, ctx.deadlines[self.task.index()], self.cfg.eqf) {
-            Ok(a) => {
-                self.deadlines = Some(a);
-                self.stats.deadline_reassignments += 1;
-            }
-            Err(_) => {
-                // Degenerate estimates (e.g. right after a crash wiped the
-                // task's observations) must not take down the control
-                // plane: keep the previous assignment, or fall back to a
-                // uniform split if none exists yet.
-                if self.deadlines.is_none() {
-                    self.deadlines = Some(assign_deadlines(
-                        &vec![1.0; n],
-                        &vec![1.0; n.saturating_sub(1)],
-                        ctx.deadlines[self.task.index()],
-                        self.cfg.eqf,
-                    ));
-                }
-            }
-        }
+        (exec, comm)
     }
 
-    /// Step 2 for one candidate subtask: returns its new placement. Dead
-    /// nodes are masked with a pessimal utilization so neither policy ever
-    /// selects them, and results are filtered to alive nodes regardless.
+    /// The utilization view the act step allocates against, built once
+    /// per epoch: the current readings (centralized) or the snapshot
+    /// `staleness` periods back, clamped to the oldest retained
+    /// (decentralized). Dead nodes read a pessimal `1e6` so no policy
+    /// selects them; a cold (restarted, still warming up) node reads the
+    /// `u_init_pct` prior, since its near-zero EWMA is a measurement
+    /// artifact, not spare capacity.
+    fn utilization_view(&mut self, ctx: &ControlContext) -> Vec<f64> {
+        let snapshot = match &mut self.coordination {
+            Coordination::Centralized => &ctx.node_util_pct,
+            Coordination::Decentralized { staleness, history } => {
+                history.push_back(ctx.node_util_pct.clone());
+                while history.len() > *staleness + 2 {
+                    history.pop_front();
+                }
+                &history[history.len() - 1 - (*staleness).min(history.len() - 1)]
+            }
+        };
+        let u_init = self.cfg.u_init_pct;
+        snapshot
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| if !ctx.alive[i] { 1e6 } else if ctx.cold[i] { u_init } else { u })
+            .collect()
+    }
+
+    /// Allocation for one candidate stage: returns its new placement.
+    /// Results are filtered to alive nodes; if none remain the current
+    /// placement stands.
     fn allocate(
         &mut self,
         stage: usize,
         current: &[NodeId],
         obs_tracks: u64,
+        utils: &[f64],
         ctx: &ControlContext,
         mut audit: Option<&mut AllocAudit>,
     ) -> Vec<NodeId> {
-        let utils: Vec<f64> = (0..ctx.n_nodes())
-            .map(|i| {
-                if !ctx.alive[i] {
-                    1e6
-                } else if ctx.cold[i] {
-                    // Restarted node still warming up: its near-zero EWMA
-                    // is a measurement artifact, not spare capacity.
-                    self.cfg.u_init_pct
-                } else {
-                    ctx.node_util_pct[i]
-                }
-            })
-            .collect();
         let ps = match self.cfg.policy {
             Policy::Predictive => {
                 let deadlines = self.deadlines.as_ref().expect("deadlines initialized");
                 let budget = deadlines.stage_budget(stage);
                 let req = ReplicationRequest {
                     current,
-                    node_util_pct: &utils,
+                    node_util_pct: utils,
                     stage,
                     tracks: obs_tracks,
                     total_periodic_tracks: ctx.total_tracks(),
@@ -279,16 +559,16 @@ impl ResourceManager {
             Policy::NonPredictive {
                 utilization_threshold_pct,
             } => {
-                let ps = replicate_subtask_nonpredictive(current, &utils, utilization_threshold_pct);
+                let ps = replicate_subtask_nonpredictive(current, utils, utilization_threshold_pct);
                 if let Some(a) = audit.as_deref_mut() {
-                    a.candidates = heuristic_candidates(current, &utils, &ps);
+                    a.candidates = heuristic_candidates(current, utils, &ps);
                 }
                 ps
             }
             Policy::Incremental => {
-                let ps = replicate_subtask_incremental(current, &utils);
+                let ps = replicate_subtask_incremental(current, utils);
                 if let Some(a) = audit {
-                    a.candidates = heuristic_candidates(current, &utils, &ps);
+                    a.candidates = heuristic_candidates(current, utils, &ps);
                 }
                 ps
             }
@@ -302,16 +582,14 @@ impl ResourceManager {
     }
 
     /// Builds and emits one decision record, if a sink is attached.
-    /// `observed_ms` is the latest monitored stage latency (exec +
-    /// inbound message), from which observed slack is derived.
+    /// Observed slack is derived from the stage's latest monitor reading.
     #[allow(clippy::too_many_arguments)] // a record has this many facts
     fn emit_decision(
         &mut self,
         ctx: &ControlContext,
         stage: usize,
         arm: DecisionArm,
-        health: Option<StageHealth>,
-        observed_ms: Option<f64>,
+        reading: Option<StageReading>,
         alloc: Option<AllocAudit>,
         before: &[NodeId],
         chosen: &[NodeId],
@@ -332,8 +610,8 @@ impl ResourceManager {
                 stage: stage as u32,
                 policy: self.cfg.policy.name().to_string(),
                 arm,
-                health,
-                observed_slack_ms: observed_ms.map(|o| budget.as_millis_f64() - o),
+                health: reading.map(|r| r.health),
+                observed_slack_ms: reading.map(|r| budget.as_millis_f64() - r.observed_ms),
                 budget_ms: budget.as_millis_f64(),
                 threshold_ms: threshold.as_millis_f64(),
                 candidates,
@@ -419,236 +697,31 @@ impl Controller for ResourceManager {
         completed: &[PeriodObservation],
         ctx: &ControlContext,
     ) -> Vec<ControlAction> {
-        let t = self.task.index();
         // Own a mutable working copy of this task's placement (the context
         // shares the runtime's placement behind an Arc).
-        let mut placements = (*ctx.placements[t]).clone();
+        let mut placements = (*ctx.placements[self.task.index()]).clone();
         if self.deadlines.is_none() {
-            self.reassign_deadlines(ctx, &placements);
+            self.update_deadlines(ctx, &placements);
         }
         let mut actions = Vec::new();
-        let mut changed = false;
-        // Repair decisions to audit, gathered outside the placements
-        // borrow: (stage, before, chosen).
-        let mut repair_records: Vec<(usize, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-
-        // Survivability repair: drop dead nodes from every replica set; a
-        // stage whose whole set died is re-homed on the least-utilized
-        // alive node (continued availability, paper §1's motivation).
-        for (j, ps) in placements.iter_mut().enumerate() {
-            if ps.iter().all(|n| ctx.alive[n.index()]) {
-                continue;
-            }
-            let mut repaired: Vec<NodeId> =
-                ps.iter().copied().filter(|n| ctx.alive[n.index()]).collect();
-            if repaired.is_empty() {
-                match ctx.least_utilized_excluding(&[]) {
-                    Some(n) => repaired.push(n),
-                    None => continue, // whole cluster dead; nothing to do
-                }
-            }
-            self.stats.repairs += 1;
-            let before = std::mem::replace(ps, repaired.clone());
-            if self.audit.is_some() {
-                repair_records.push((j, before, repaired.clone()));
-            }
-            actions.push(ControlAction::SetPlacement {
-                task: self.task,
-                subtask: SubtaskIdx::from_index(j),
-                nodes: repaired,
-            });
-            changed = true;
-        }
-        for (j, before, chosen) in repair_records {
-            self.emit_decision(ctx, j, DecisionArm::Repair, None, None, None, &before, &chosen);
-        }
-
-        // Forecast-accuracy telemetry: grade the Eq. (3)/(4) forecasts
-        // against what the simulator measured, *before* online refinement
-        // absorbs these observations (a refined model must not be graded
-        // on data it has already seen).
-        if matches!(self.cfg.policy, Policy::Predictive) {
-            for obs in completed.iter().filter(|o| o.task == self.task) {
-                for st in &obs.stages {
-                    let j = st.subtask.index();
-                    let share = st.tracks.div_ceil(u64::from(st.replicas.max(1)));
-                    let ps = &ctx.placements[t][j];
-                    let u = if ps.is_empty() {
-                        self.cfg.u_init_pct
-                    } else {
-                        ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum::<f64>()
-                            / ps.len() as f64
-                    };
-                    let eex = self.predictor.eex(j, share, u).as_millis_f64();
-                    self.exec_residuals[j].observe(eex, st.exec_latency.as_millis_f64());
-                    if j > 0 {
-                        let ecd = self
-                            .predictor
-                            .ecd(j - 1, share, ctx.total_tracks())
-                            .as_millis_f64();
-                        self.comm_residuals[j].observe(ecd, st.inbound_msg_delay.as_millis_f64());
-                    }
-                }
-            }
-        }
-
-        // Online refinement: absorb every completed stage observation and
-        // write the refined Eq. (3) coefficients back into the predictor.
-        if let Some(refiners) = self.refiners.as_mut() {
-            // Bitmask of stages that absorbed at least one observation:
-            // only those models are exported back into the predictor, so
-            // an epoch's refit cost scales with what actually completed,
-            // not with pipeline length. (Pipelines have a handful of
-            // stages; for the hypothetical ≥64-stage case the top bit
-            // over-approximates, which merely re-exports an unchanged
-            // model.)
-            let mut touched: u64 = 0;
-            for obs in completed.iter().filter(|o| o.task == self.task) {
-                for st in &obs.stages {
-                    let j = st.subtask.index();
-                    let replicas = st.replicas.max(1) as f64;
-                    let d = st.tracks as f64 / replicas / 100.0;
-                    let ps = &ctx.placements[t][j];
-                    let u = if ps.is_empty() {
-                        self.cfg.u_init_pct
-                    } else {
-                        ps.iter().map(|p| ctx.node_util_pct[p.index()]).sum::<f64>()
-                            / ps.len() as f64
-                    };
-                    refiners[j].observe(d, u, st.exec_latency.as_millis_f64());
-                    touched |= 1u64 << j.min(63);
-                }
-            }
-            if touched != 0 {
-                for (j, r) in refiners.iter().enumerate() {
-                    if touched & (1u64 << j.min(63)) != 0 {
-                        self.predictor.set_exec_model(j, r.model());
-                    }
-                }
-            }
-        }
-
-        // Feed every completed instance through the monitor in order; act
-        // on the health of the most recent one.
-        let mut latest_health: Vec<Option<(StageHealth, u64)>> =
-            vec![None; self.predictor.n_stages()];
-        // Latest observed stage latency (exec + inbound message), ms —
-        // the decision record derives observed slack from it.
-        let mut latest_obs_ms: Vec<Option<f64>> = vec![None; self.predictor.n_stages()];
-        let mut shutdown_ready = vec![false; self.predictor.n_stages()];
-        let mut saw_shed = false;
-        for obs in completed.iter().filter(|o| o.task == self.task) {
-            if obs.stages.is_empty() {
-                saw_shed |= obs.missed;
-                continue;
-            }
-            let deadlines = self.deadlines.as_ref().expect("initialized above");
-            for st in &obs.stages {
-                let j = st.subtask.index();
-                if !ctx.replicable[t][j] {
-                    continue;
-                }
-                let health = assess_stage(st, deadlines, &self.cfg.monitor);
-                shutdown_ready[j] =
-                    self.tracker
-                        .observe(j, health, self.cfg.monitor.shutdown_patience);
-                latest_health[j] = Some((health, st.tracks));
-                latest_obs_ms[j] =
-                    Some((st.exec_latency + st.inbound_msg_delay).as_millis_f64());
-            }
-        }
-
-        self.invocations += 1;
-        let act_now = self.invocations.is_multiple_of(u64::from(self.cfg.act_every));
-        for j in 0..self.predictor.n_stages() {
-            if !act_now {
-                break; // between control rounds: monitor only
-            }
-            if !ctx.replicable[t][j] {
-                continue;
-            }
-            let needs = match latest_health[j] {
-                Some((h, _)) => h.needs_replication(),
-                // A shed period under overload gives no per-stage data;
-                // treat every replicable stage as a candidate so the
-                // manager can react at all (both policies equally).
-                None => saw_shed,
-            };
-            let auditing = self.audit.is_some();
-            let health = latest_health[j].map(|(h, _)| h);
-            if needs {
-                let tracks = latest_health[j]
-                    .map(|(_, tr)| tr)
-                    .unwrap_or(ctx.last_tracks[t]);
-                let mut alloc_audit = auditing.then(AllocAudit::default);
-                let new = self.allocate(j, &placements[j], tracks, ctx, alloc_audit.as_mut());
-                self.emit_decision(
-                    ctx,
-                    j,
-                    DecisionArm::Replicate,
-                    health,
-                    latest_obs_ms[j],
-                    alloc_audit,
-                    &placements[j],
-                    &new,
-                );
-                if new != placements[j] {
-                    self.stats.replications += 1;
-                    placements[j] = new.clone();
-                    actions.push(ControlAction::SetPlacement {
-                        task: self.task,
-                        subtask: SubtaskIdx::from_index(j),
-                        nodes: new,
-                    });
-                    changed = true;
-                }
-            } else if shutdown_ready[j] && placements[j].len() > 1 {
-                let new = shutdown_a_replica(&placements[j]);
-                self.emit_decision(
-                    ctx,
-                    j,
-                    DecisionArm::ShutDown,
-                    health,
-                    latest_obs_ms[j],
-                    None,
-                    &placements[j],
-                    &new,
-                );
-                self.stats.shutdowns += 1;
-                placements[j] = new.clone();
-                actions.push(ControlAction::SetPlacement {
-                    task: self.task,
-                    subtask: SubtaskIdx::from_index(j),
-                    nodes: new,
-                });
-                changed = true;
-            } else if auditing {
-                // Explicit no-op: the stage was examined on an acting
-                // cycle and left alone.
-                let before = placements[j].clone();
-                self.emit_decision(
-                    ctx,
-                    j,
-                    DecisionArm::NoOp,
-                    health,
-                    latest_obs_ms[j],
-                    None,
-                    &before,
-                    &before,
-                );
-            }
-        }
-
+        self.repair(ctx, &mut placements, &mut actions);
+        self.score_and_refine(completed, ctx);
+        let seen = self.monitor(completed, ctx);
+        let utils = self.utilization_view(ctx);
+        self.act(ctx, &seen, &utils, &mut placements, &mut actions);
         // §4.1: "At each time a resource management action … is taken, the
         // subtask deadlines are re-assigned."
-        if changed {
-            self.reassign_deadlines(ctx, &placements);
+        if !actions.is_empty() {
+            self.update_deadlines(ctx, &placements);
         }
         actions
     }
 
     fn name(&self) -> &'static str {
-        self.cfg.policy.name()
+        match self.coordination {
+            Coordination::Centralized => self.cfg.policy.name(),
+            Coordination::Decentralized { .. } => "decentralized",
+        }
     }
 
     fn forecast_residuals(&self) -> Vec<ForecastResidualStat> {
@@ -1060,6 +1133,35 @@ mod tests {
             manager(ArmConfig::paper_nonpredictive()).name(),
             "non-predictive"
         );
+    }
+
+    #[test]
+    fn utilization_view_reads_stale_snapshots_and_masks_dead_and_cold_nodes() {
+        // Epoch k reads 10k + i on node i.
+        let epoch = |k: u32| {
+            let utils = (0..6).map(|i| f64::from(10 * k + i)).collect();
+            ctx(utils, home_placements(), 1_000)
+        };
+        let reads = |v: &[f64]| v[0] / 10.0;
+        // Staleness 2: two periods back, clamped to the oldest retained.
+        let mut stale = manager(ArmConfig::paper_predictive()).decentralized(2);
+        let seen: Vec<f64> = (1..=5).map(|k| reads(&stale.utilization_view(&epoch(k)))).collect();
+        assert_eq!(seen, vec![1.0, 1.0, 1.0, 2.0, 3.0]);
+        // A dead node reads 1e6 and a cold one the u_init prior, in the
+        // stale snapshot as in the current one.
+        let mut c = epoch(6);
+        c.alive[1] = false;
+        c.cold[2] = true;
+        let u_init = ArmConfig::paper_predictive().u_init_pct;
+        assert_eq!(stale.utilization_view(&c), vec![40.0, 1e6, u_init, 43.0, 44.0, 45.0]);
+        // Staleness 0 is the centralized view: the current masked vector.
+        let mut fresh = manager(ArmConfig::paper_predictive()).decentralized(0);
+        let mut central = manager(ArmConfig::paper_predictive());
+        for k in 1..=3 {
+            assert_eq!(fresh.utilization_view(&epoch(k)), central.utilization_view(&epoch(k)));
+        }
+        assert_eq!(fresh.utilization_view(&c), vec![60.0, 1e6, u_init, 63.0, 64.0, 65.0]);
+        assert_eq!(central.utilization_view(&c), fresh.utilization_view(&c));
     }
 
     #[test]

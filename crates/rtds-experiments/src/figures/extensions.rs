@@ -662,7 +662,6 @@ pub fn ext_forecast_value(opts: &FigureOptions) -> FigureOutput {
 /// Decentralization cost: the centralized manager vs independent
 /// per-stage agents with increasingly stale utilization state.
 pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
-    use rtds_arm::decentralized::DecentralizedManager;
     let n = if opts.quick { 40 } else { 160 };
     let mut table = Table::new(vec![
         "manager",
@@ -718,11 +717,10 @@ pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
         ]);
         for staleness in [0usize, 2, 5] {
             let (s, c) = run(
-                Box::new(DecentralizedManager::new(
-                    ArmConfig::paper_predictive(),
-                    opts.predictor(),
-                    staleness,
-                )),
+                Box::new(
+                    ResourceManager::new(ArmConfig::paper_predictive(), opts.predictor())
+                        .decentralized(staleness),
+                ),
                 square,
             );
             table.row(vec![

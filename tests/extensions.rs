@@ -1,10 +1,11 @@
 //! Integration tests for the extension features: multi-task management,
-//! online model refinement, and control latency.
+//! online model refinement, control latency, and decentralized
+//! coordination.
 
 use rtds::arm::config::ArmConfig;
 use rtds::arm::manager::{CompositeManager, ResourceManager};
 use rtds::arm::predictor::analytic_predictor;
-use rtds::dynbench::app::{aaw_task, surveillance_task};
+use rtds::dynbench::app::{aaw_task, surveillance_task, EVAL_DECIDE_STAGE, FILTER_STAGE};
 use rtds::experiments::models::{quick_predictor, LINK_BPS};
 use rtds::prelude::*;
 use rtds::regression::BufferDelayModel;
@@ -257,4 +258,95 @@ fn failures_via_scenario_config_reach_the_cluster() {
         .filter(|r| r.instance >= 20 && r.missed == Some(false))
         .count();
     assert!(post_ok >= 15, "post-failure recovery: {post_ok} clean periods");
+}
+
+/// The paper baseline with a per-period workload and, when `ambient`,
+/// 10 % Poisson load on every node, managed by a decentralized
+/// predictive manager (independent per-stage agents, frozen budgets,
+/// a utilization view `staleness` periods old).
+fn decentralized_cluster(
+    seed: u64,
+    secs: u64,
+    staleness: usize,
+    workload: WorkloadFn,
+    ambient: bool,
+) -> Cluster {
+    let mut config = ClusterConfig::paper_baseline(seed, SimDuration::from_secs(secs));
+    config.clock = ClockConfig::perfect();
+    let mut cl = Cluster::new(config);
+    cl.add_task(aaw_task(), workload);
+    if ambient {
+        for n in 0..6 {
+            cl.add_load(Box::new(PoissonLoad::with_utilization(
+                LoadGenId(n),
+                NodeId(n),
+                0.10,
+                SimDuration::from_millis(2),
+            )));
+        }
+    }
+    let predictor = analytic_predictor(&aaw_task(), comm());
+    cl.set_controller(Box::new(
+        ResourceManager::new(ArmConfig::paper_predictive(), predictor).decentralized(staleness),
+    ));
+    cl
+}
+
+fn decentralized_summary(staleness: usize, max_tracks: u64, seed: u64) -> RunSummary {
+    let workload = Box::new(move |i| 500 + (i % 15) * (max_tracks / 15));
+    decentralized_cluster(seed, 60, staleness, workload, true)
+        .run()
+        .metrics
+        .summarize(&[FILTER_STAGE, EVAL_DECIDE_STAGE])
+}
+
+#[test]
+fn decentralized_manager_keeps_the_mission_alive() {
+    let s = decentralized_summary(0, 13_000, 1);
+    assert!(s.missed_deadline_pct < 10.0, "{s:?}");
+    assert!(s.avg_replicas > 1.0, "it adapts: {s:?}");
+}
+
+#[test]
+fn decentralized_stale_state_is_tolerated_but_not_free() {
+    let fresh = decentralized_summary(0, 13_000, 2);
+    let stale = decentralized_summary(5, 13_000, 2);
+    // Both keep the mission alive; staleness may cost extra replicas or
+    // placement churn, never a wedge.
+    assert!(fresh.missed_deadline_pct <= 15.0);
+    assert!(stale.missed_deadline_pct <= 15.0);
+    assert!(stale.avg_replicas >= 1.0);
+}
+
+#[test]
+fn decentralized_manager_repairs_node_failures_locally() {
+    // Node 2 is the Filter home (replicable); node 1 hosts a
+    // non-replicable stage, which the shared repair step re-homes too.
+    for node in [NodeId(FILTER_STAGE as u32), NodeId(1)] {
+        let mut cl = decentralized_cluster(3, 30, 2, Box::new(|_| 8_000), false);
+        cl.fail_node_at(node, SimTime::from_secs(10));
+        let out = cl.run();
+        let late_ok = out
+            .metrics
+            .periods
+            .iter()
+            .filter(|p| p.instance >= 15 && p.missed == Some(false))
+            .count();
+        assert!(late_ok >= 10, "recovers after {node:?} fails: {late_ok}");
+    }
+}
+
+#[test]
+fn decentralized_mode_reports_its_name() {
+    let predictor = analytic_predictor(&aaw_task(), comm());
+    let m = ResourceManager::new(ArmConfig::paper_predictive(), predictor).decentralized(1);
+    assert_eq!(Controller::name(&m), "decentralized");
+}
+
+#[test]
+#[should_panic(expected = "invalid ARM configuration")]
+fn decentralized_mode_rejects_an_invalid_config() {
+    let mut cfg = ArmConfig::paper_predictive();
+    cfg.monitor.shutdown_patience = 0;
+    let _ = ResourceManager::new(cfg, analytic_predictor(&aaw_task(), comm())).decentralized(0);
 }
