@@ -3,12 +3,13 @@
 //! queue churn under cancellation (tombstone compaction), batch
 //! scheduling, and the incremental RLS refit.
 //!
-//! CI runs this in quick mode and compares against the checked-in
-//! `BENCH_hotpath.json` baseline (see `scripts/check_bench_regression.py`);
-//! regenerate the baseline with:
+//! CI runs this in quick mode and compares against the last record of
+//! the checked-in `BENCH_hotpath.json` trajectory (see
+//! `scripts/check_bench_regression.py`); record a new baseline with:
 //!
 //! ```text
-//! cargo bench --bench hotpath -- --save-json BENCH_hotpath.json
+//! cargo bench -p rtds-bench --bench hotpath -- --save-json /tmp/hotpath.json
+//! python3 scripts/check_bench_regression.py BENCH_hotpath.json /tmp/hotpath.json --append <rev>
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

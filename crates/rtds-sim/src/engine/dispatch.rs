@@ -175,10 +175,12 @@ impl DispatchEngine {
     /// the burst. For the lone job each link is a state no-op (serve one
     /// quantum, requeue into an empty queue, pick itself back), so only
     /// its bookkeeping is replayed: the dispatch that handler would have
-    /// scheduled takes the next sequence number, now, and re-arms the
-    /// lane in place. The chain's last link — the job's completion, which
-    /// has real effects — fires as a `Dispatch`. Returns the number of
-    /// links fired.
+    /// scheduled takes the next sequence number and now. Nothing reads the
+    /// lane heap during the burst (its bound is taken before the first
+    /// link), so the lane is re-armed once, in place, with the key of the
+    /// link the burst stops at. The chain's last link — the job's
+    /// completion, which has real effects — fires as a `Dispatch`. Returns
+    /// the number of links fired.
     pub fn burst_chain(
         &mut self,
         k: &mut SimKernel,
@@ -199,9 +201,9 @@ impl DispatchEngine {
             k.queue.advance_now(at);
             let next = (at + c.quantum).min(c.completion);
             let seq = k.queue.alloc_seq();
-            k.lanes.arm(lane, next, seq);
             links += 1;
             if next >= c.completion || next > horizon || bound.is_some_and(|b| (next, seq) >= b) {
+                k.lanes.arm(lane, next, seq);
                 return links;
             }
             at = next;

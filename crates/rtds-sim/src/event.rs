@@ -5,16 +5,16 @@
 //! the same inputs pop events in exactly the same order — a prerequisite for
 //! reproducible experiments.
 //!
-//! Cancellation is lazy (O(1)): the entry stays in the heap as a tombstone
-//! and is dropped when it surfaces. Handle liveness is tracked through a
-//! small generation-stamped slot table instead of hash sets, so the
-//! schedule/cancel/pop hot path does no hashing and no per-event
+//! The heap is the kernel's shared one (`kheap::KHeap`), keyed by the packed
+//! `(time, seq)`; its entries are small `Copy` records naming a slot, and
+//! the event payload waits in that slot of a generation-stamped slot
+//! table. Cancellation is lazy (O(1)): the slot gives up its payload and
+//! the heap entry stays behind as a tombstone, dropped when it surfaces.
+//! The schedule/cancel/pop hot path does no hashing and no per-event
 //! allocation; when tombstones outnumber live entries the heap is
 //! compacted in one pass, bounding both memory and pop-skip work.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
+use crate::kheap::{pack, KHeap, Keyed};
 use crate::time::SimTime;
 
 /// A handle to a scheduled event, usable for cancellation.
@@ -43,48 +43,30 @@ pub struct QueueStats {
     pub heap_high_water: usize,
 }
 
-struct Entry<E> {
+/// A heap entry: the event's key and the slot holding its payload. Ties
+/// in time pop lowest sequence number first (FIFO among simultaneous
+/// events).
+#[derive(Clone, Copy)]
+struct Entry {
     time: SimTime,
     seq: u64,
     slot: u32,
-    event: E,
 }
 
-// BinaryHeap is a max-heap; invert the ordering to get earliest-first,
-// breaking ties by lowest sequence number (FIFO among simultaneous events).
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Keyed for Entry {
+    #[inline(always)]
+    fn key(&self) -> u128 {
+        pack(self.time, self.seq)
     }
 }
 
-/// Per-slot lifecycle state; `gen` advances each time the slot is reused,
-/// invalidating handles from its previous life.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Vacant,
-    Pending,
-    Cancelled,
-}
-
-#[derive(Clone, Copy)]
-struct Slot {
+/// One slot of the table; `gen` advances each time the slot is reused,
+/// invalidating handles from its previous life. `event` is `Some` while
+/// the event is pending, `None` once cancelled (its heap entry is then a
+/// tombstone) or while the slot is vacant.
+struct Slot<E> {
     gen: u32,
-    state: SlotState,
+    event: Option<E>,
 }
 
 /// Compaction triggers only on heaps at least this big; tiny heaps are
@@ -93,9 +75,9 @@ const COMPACT_MIN_HEAP: usize = 64;
 
 /// Deterministic event queue with cancellation support.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: KHeap<Entry>,
     seq: u64,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Cancelled entries still sitting in the heap.
     tombstones: usize,
@@ -120,7 +102,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            heap: KHeap::with_capacity(cap),
             seq: 0,
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -139,29 +121,38 @@ impl<E> EventQueue<E> {
         self.slots.reserve(needed);
     }
 
-    fn alloc_slot(&mut self) -> u32 {
-        match self.free.pop() {
+    /// Pushes `event` under `(at, seq)` into a free slot and returns its
+    /// handle.
+    fn insert(&mut self, at: SimTime, seq: u64, event: E) -> EventHandle {
+        let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize].state = SlotState::Pending;
+                self.slots[s as usize].event = Some(event);
                 s
             }
             None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    state: SlotState::Pending,
-                });
-                s
+                self.slots.push(Slot { gen: 0, event: Some(event) });
+                (self.slots.len() - 1) as u32
             }
+        };
+        self.heap.push(Entry { time: at, seq, slot });
+        self.stats.scheduled += 1;
+        if self.heap.len() > self.stats.heap_high_water {
+            self.stats.heap_high_water = self.heap.len();
+        }
+        EventHandle {
+            slot,
+            gen: self.slots[slot as usize].gen,
         }
     }
 
+    /// Vacates `slot` (its heap entry has left the heap), returning the
+    /// payload if the event was still pending.
     #[inline]
-    fn release_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.state = SlotState::Vacant;
+    fn release_slot(slots: &mut [Slot<E>], free: &mut Vec<u32>, slot: u32) -> Option<E> {
+        let s = &mut slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
+        free.push(slot);
+        s.event.take()
     }
 
     /// Schedules `event` at absolute time `at` and returns a cancellable
@@ -176,23 +167,8 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at}, now={}",
             self.last_popped
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.alloc_slot();
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            slot,
-            event,
-        });
-        self.stats.scheduled += 1;
-        if self.heap.len() > self.stats.heap_high_water {
-            self.stats.heap_high_water = self.heap.len();
-        }
-        EventHandle {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
+        let seq = self.alloc_seq();
+        self.insert(at, seq, event)
     }
 
     /// Reserves the next sequence number without scheduling anything.
@@ -222,21 +198,7 @@ impl<E> EventQueue<E> {
             self.last_popped
         );
         debug_assert!(seq < self.seq, "seq was not allocated by alloc_seq");
-        let slot = self.alloc_slot();
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            slot,
-            event,
-        });
-        self.stats.scheduled += 1;
-        if self.heap.len() > self.stats.heap_high_water {
-            self.stats.heap_high_water = self.heap.len();
-        }
-        EventHandle {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
+        self.insert(at, seq, event)
     }
 
     /// Advances the queue's notion of "now" to `t` without popping, as if
@@ -271,10 +233,9 @@ impl<E> EventQueue<E> {
         let Some(slot) = self.slots.get_mut(handle.slot as usize) else {
             return false;
         };
-        if slot.gen != handle.gen || slot.state != SlotState::Pending {
+        if slot.gen != handle.gen || slot.event.take().is_none() {
             return false;
         }
-        slot.state = SlotState::Cancelled;
         self.tombstones += 1;
         self.stats.cancelled += 1;
         self.maybe_compact();
@@ -282,41 +243,38 @@ impl<E> EventQueue<E> {
     }
 
     /// Rebuilds the heap without its tombstones once they outnumber the
-    /// live entries. One O(n) pass bounds heap memory and the skip work
-    /// every subsequent pop would otherwise pay. Ordering is untouched:
-    /// relative order is fully determined by each entry's `(time, seq)`
-    /// key, which the rebuild preserves.
+    /// live entries. One O(n) pass, in the heap's own buffer, bounds heap
+    /// memory and the skip work every subsequent pop would otherwise pay.
+    /// Ordering is untouched: relative order is fully determined by each
+    /// entry's `(time, seq)` key, which the rebuild preserves.
     fn maybe_compact(&mut self) {
         if self.heap.len() < COMPACT_MIN_HEAP || self.tombstones * 2 <= self.heap.len() {
             return;
         }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let mut live = Vec::with_capacity(entries.len() - self.tombstones);
-        for e in entries {
-            if self.slots[e.slot as usize].state == SlotState::Cancelled {
-                self.release_slot(e.slot);
-            } else {
-                live.push(e);
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.heap.retain(|e| {
+            let live = slots[e.slot as usize].event.is_some();
+            if !live {
+                Self::release_slot(slots, free, e.slot);
             }
-        }
+            live
+        });
         self.tombstones = 0;
-        self.heap = BinaryHeap::from(live);
         self.stats.compactions += 1;
     }
 
     /// Pops the earliest pending event, skipping cancelled entries.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.slots[entry.slot as usize].state == SlotState::Cancelled {
+            let Some(event) = Self::release_slot(&mut self.slots, &mut self.free, entry.slot)
+            else {
                 self.tombstones -= 1;
-                self.release_slot(entry.slot);
                 continue;
-            }
-            self.release_slot(entry.slot);
+            };
             debug_assert!(entry.time >= self.last_popped);
             self.last_popped = entry.time;
             self.stats.popped += 1;
-            return Some((entry.time, entry.event));
+            return Some((entry.time, event));
         }
         None
     }
@@ -332,14 +290,12 @@ impl<E> EventQueue<E> {
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         // Drain cancelled entries off the top so the peek is accurate.
         while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].state == SlotState::Cancelled {
-                let slot = entry.slot;
-                self.heap.pop();
-                self.tombstones -= 1;
-                self.release_slot(slot);
-            } else {
+            if self.slots[entry.slot as usize].event.is_some() {
                 return Some((entry.time, entry.seq));
             }
+            self.heap.pop();
+            self.tombstones -= 1;
+            Self::release_slot(&mut self.slots, &mut self.free, entry.slot);
         }
         None
     }

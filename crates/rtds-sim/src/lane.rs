@@ -9,9 +9,10 @@
 //! - one per background generator: its next `BgPoll`.
 //!
 //! [`Lanes`] owns each lane's live `(at, seq)` key and a lazy min-heap
-//! over the keys. The seq is allocated from the event queue at the exact
-//! program point where the reference path would `schedule` the event, so
-//! same-time tie-breaking is bit-identical to running it as a heap event.
+//! over the keys, the kernel's shared [`KHeap`]. The seq is allocated
+//! from the event queue at the exact program point where the reference
+//! path would `schedule` the event, so same-time tie-breaking is
+//! bit-identical to running it as a heap event.
 //! A lane is changed only through [`Lanes::arm`] and [`Lanes::disarm`];
 //! either may leave an earlier heap entry behind, and one liveness rule
 //! sorts them out on [`Lanes::peek`]: an entry is live iff its seq equals
@@ -25,13 +26,11 @@
 //!
 //! [`EventQueue`]: crate::event::EventQueue
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use crate::kheap::{pack, KHeap, Keyed};
 use crate::time::SimTime;
 
 /// A lane, named by the event it stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneRef {
     /// Node `i`'s next `Dispatch`.
     Dispatch(u32),
@@ -41,7 +40,7 @@ pub(crate) enum LaneRef {
 
 /// One heap entry. Ordered by `(at, seq)` like the real event queue;
 /// `lane` never decides the order because seqs are unique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LaneEntry {
     /// When the lane fires.
     pub at: SimTime,
@@ -51,13 +50,20 @@ pub(crate) struct LaneEntry {
     pub lane: LaneRef,
 }
 
+impl Keyed for LaneEntry {
+    #[inline(always)]
+    fn key(&self) -> u128 {
+        pack(self.at, self.seq)
+    }
+}
+
 /// A lane's live key: `(at, seq)`.
 pub(crate) type LaneKey = (SimTime, u64);
 
 /// Every lane's live key plus a lazy min-heap over them (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct Lanes {
-    heap: BinaryHeap<Reverse<LaneEntry>>,
+    heap: KHeap<LaneEntry>,
     /// Live key of each node's `Dispatch` lane.
     dispatch: Vec<Option<LaneKey>>,
     /// Live key of each generator's `BgPoll` lane.
@@ -96,14 +102,10 @@ impl Lanes {
     pub fn arm(&mut self, lane: LaneRef, at: SimTime, seq: u64) {
         *self.slot(lane) = Some((at, seq));
         let entry = LaneEntry { at, seq, lane };
-        if let Some(mut top) = self.heap.peek_mut() {
-            if top.0.lane == lane {
-                // Dropping the PeekMut sifts the rewritten entry into place.
-                top.0 = entry;
-                return;
-            }
+        match self.heap.peek() {
+            Some(top) if top.lane == lane => self.heap.replace_top(entry),
+            _ => self.heap.push(entry),
         }
-        self.heap.push(Reverse(entry));
     }
 
     /// Disarms `lane`, returning its key if it was armed. Its heap entry
@@ -116,7 +118,7 @@ impl Lanes {
     /// The earliest live entry. Stale entries on top are discarded.
     #[inline(always)]
     pub fn peek(&mut self) -> Option<LaneEntry> {
-        while let Some(&Reverse(e)) = self.heap.peek() {
+        while let Some(e) = self.heap.peek() {
             if self.key(e.lane).is_some_and(|(_, seq)| seq == e.seq) {
                 return Some(e);
             }
@@ -135,8 +137,8 @@ impl Lanes {
     pub fn runner_up(&self) -> Option<LaneKey> {
         let s = self.heap.as_slice();
         match (s.get(1), s.get(2)) {
-            (Some(Reverse(a)), Some(Reverse(b))) => Some((a.at, a.seq).min((b.at, b.seq))),
-            (Some(Reverse(a)), None) => Some((a.at, a.seq)),
+            (Some(a), Some(b)) => Some((a.at, a.seq).min((b.at, b.seq))),
+            (Some(a), None) => Some((a.at, a.seq)),
             _ => None,
         }
     }
@@ -227,5 +229,58 @@ mod tests {
         l.disarm(LaneRef::BgPoll(0));
         assert!(l.peek().is_none());
         assert_eq!(l.len(), 0, "the stale entry was discarded too");
+    }
+
+    /// Seeded random arm / disarm / fire streams against a brute-force
+    /// minimum over the live keys. Re-arming a lane that is not on top
+    /// leaves a stale entry behind, so the heap fills with both kinds.
+    #[test]
+    fn peek_and_runner_up_agree_with_a_brute_force_minimum() {
+        use crate::rng::SimRng;
+        let lanes: Vec<LaneRef> =
+            (0..6).flat_map(|i| [LaneRef::Dispatch(i), LaneRef::BgPoll(i)]).collect();
+        for seed in 0..30 {
+            let mut rng = SimRng::from_seed_stream(seed, 0);
+            let mut l = Lanes::default();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut stale_seen = false;
+            for _ in 0..2_000 {
+                let lane = lanes[rng.below(lanes.len() as u64) as usize];
+                match rng.below(8) {
+                    0..=3 => {
+                        l.arm(lane, t(now + rng.below(20)), seq);
+                        seq += 1;
+                    }
+                    4 => {
+                        l.disarm(lane);
+                    }
+                    _ => {
+                        // Fire the head: disarm it, and usually re-arm it
+                        // from its own handler, as the run loop does.
+                        if let Some(e) = l.peek() {
+                            now = e.at.as_micros() / 1_000;
+                            l.disarm(e.lane);
+                            if rng.below(4) != 0 {
+                                l.arm(e.lane, t(now + rng.below(20)), seq);
+                                seq += 1;
+                            }
+                        }
+                    }
+                }
+                let mut live: Vec<(LaneKey, LaneRef)> =
+                    lanes.iter().filter_map(|&r| l.key(r).map(|k| (k, r))).collect();
+                live.sort_by_key(|&(k, _)| k);
+                stale_seen |= l.len() > live.len();
+                let head = l.peek();
+                assert_eq!(head.map(|e| ((e.at, e.seq), e.lane)), live.first().copied());
+                match (l.runner_up(), live.get(1)) {
+                    (Some(r), Some(&(second, _))) => assert!(r <= second, "{r:?} > {second:?}"),
+                    (None, Some(_)) => panic!("two live lanes but no runner-up"),
+                    _ => {}
+                }
+            }
+            assert!(stale_seen, "seed {seed} never left a stale entry");
+        }
     }
 }

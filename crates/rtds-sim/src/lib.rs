@@ -65,6 +65,7 @@ pub mod hashing;
 pub mod ids;
 pub mod job;
 mod kernel;
+mod kheap;
 mod lane;
 pub mod load;
 pub mod metrics;

@@ -138,7 +138,7 @@ impl SimDuration {
         if !ms.is_finite() || ms <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ms * 1_000.0).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_to_u64(ms * 1_000.0))
     }
 
     /// Builds a span from fractional seconds, rounding to the nearest
@@ -189,7 +189,7 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "mul_f64: factor must be finite and >= 0");
-        SimDuration(((self.0 as f64) * k).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_to_u64((self.0 as f64) * k))
     }
 
     /// The smaller of two spans.
@@ -202,6 +202,25 @@ impl SimDuration {
     #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
+    }
+}
+
+/// Rounds `x >= 0` to the nearest integer, ties away from zero, and
+/// saturates at `u64::MAX`: the same result as
+/// `x.round().min(u64::MAX as f64) as u64`, with no libm call. From 2^53
+/// up every `f64` is an integer, so the (saturating) cast is exact; below
+/// it `x - trunc(x)` is exact, so comparing it with 0.5 rounds.
+///
+/// NaN maps to 0, where the old expression gave `u64::MAX`; no caller can
+/// pass one: [`SimDuration::from_millis_f64`] rejects non-finite input and
+/// [`SimDuration::mul_f64`] asserts a finite factor.
+#[inline(always)]
+fn round_to_u64(x: f64) -> u64 {
+    if x >= 9_007_199_254_740_992.0 {
+        x as u64
+    } else {
+        let t = x as u64;
+        t + (x - t as f64 >= 0.5) as u64
     }
 }
 
@@ -398,6 +417,52 @@ mod tests {
         assert_eq!(d.mul_f64(1.0004), SimDuration::from_micros(1000));
         assert_eq!(d.mul_f64(1.0006), SimDuration::from_micros(1001));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn round_to_u64_matches_libm_round_on_edges_and_random_draws() {
+        let old = |x: f64| x.round().min(u64::MAX as f64) as u64;
+        let check = |x: f64| assert_eq!(round_to_u64(x), old(x), "x = {x:e} ({:#x})", x.to_bits());
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            0.49999999999999994,
+            two(52),
+            two(53),
+            two(64),
+            u64::MAX as f64,
+        ];
+        for k in [0.0, 1.0, 2.0, 1e3, 1e6, 4_503_599_627_370_495.0, two(52), two(53)] {
+            for x in [k, k + 0.5] {
+                edges.extend([x, x.next_down(), x.next_up()]);
+            }
+        }
+        edges.into_iter().for_each(check);
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..1_000_000u32 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let x = match i % 3 {
+                // Any non-negative, non-NaN bit pattern.
+                0 => f64::from_bits(s >> 1),
+                // A half-integer below 2^53 or a one-ULP neighbour.
+                1 => {
+                    let h = (s >> 12) as f64 + 0.5;
+                    [h, h.next_down(), h.next_up()][(s % 3) as usize]
+                }
+                // Microsecond-scale products, as the call sites make.
+                _ => (s >> 40) as f64 * ((s & 0xFFFF) as f64 / 4096.0),
+            };
+            if !x.is_nan() {
+                check(x);
+            }
+        }
     }
 
     #[test]
