@@ -1,8 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out: EQF
 //! variant, slack threshold, and processor-choice rule, each timed as a
 //! full evaluation run so the cost of the alternative is visible. (Their
-//! *quality* impact is reported by `cargo run --release --bin ablations`
-//! in rtds-experiments.)
+//! *quality* impact is reported by `cargo run --release --bin run_all --
+//! ablations`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtds_arm::config::ArmConfig;

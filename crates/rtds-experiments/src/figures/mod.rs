@@ -3,7 +3,7 @@
 //! One public function per table/figure in the paper's evaluation section.
 //! Each returns a [`FigureOutput`] carrying the rendered console text and
 //! the tables that back it, and can persist CSVs for external plotting.
-//! The binaries in `src/bin/` are thin wrappers over these functions.
+//! [`REGISTRY`] names them for the `run_all` binary.
 
 pub mod ablations;
 pub mod eval;
@@ -13,6 +13,103 @@ pub mod profile;
 pub mod tables;
 
 use std::path::{Path, PathBuf};
+
+use crate::cli::{or_exit, RunOptions};
+
+/// One name `run_all` accepts and the figures it emits.
+#[derive(Debug)]
+pub struct Entry {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// Whether `run_all` with no name runs this entry.
+    pub default: bool,
+    /// Produces the entry's figures.
+    pub run: fn(&RunOptions) -> Vec<FigureOutput>,
+}
+
+/// Every `run_all` entry, in the order the default selection runs them.
+pub const REGISTRY: &[Entry] = &[
+    Entry {
+        name: "tables",
+        default: true,
+        run: |r| {
+            let o = &r.options;
+            vec![tables::table1(o), tables::table2(o), tables::table3(o)]
+        },
+    },
+    Entry { name: "fig2", default: true, run: |r| vec![profile::fig2(&r.options)] },
+    Entry { name: "fig3", default: true, run: |r| vec![profile::fig3(&r.options)] },
+    Entry { name: "fig4", default: true, run: |r| vec![profile::fig4(&r.options)] },
+    Entry { name: "fig8", default: true, run: |r| vec![patterns::fig8(&r.options)] },
+    Entry { name: "fig9", default: true, run: |r| vec![eval::fig9(&r.options)] },
+    Entry { name: "fig10", default: true, run: |r| vec![eval::fig10(&r.options)] },
+    Entry { name: "fig11", default: true, run: |r| vec![eval::fig11(&r.options)] },
+    Entry { name: "fig12", default: true, run: |r| vec![eval::fig12(&r.options)] },
+    Entry {
+        name: "fig13",
+        default: true,
+        run: |r| vec![eval::fig13a(&r.options, r.extended), eval::fig13b(&r.options, r.extended)],
+    },
+    Entry { name: "ablations", default: false, run: |r| vec![ablations::ablations(&r.options)] },
+    Entry {
+        name: "extensions",
+        default: false,
+        run: |r| {
+            let o = &r.options;
+            vec![
+                extensions::ext_survivability(o),
+                extensions::ext_multitask(o),
+                extensions::ext_online_refinement(o),
+                extensions::ext_schedulers(o),
+                extensions::ext_patterns(o),
+                extensions::ext_control_latency(o),
+                extensions::ext_seed_sensitivity(o),
+                extensions::ext_asynchrony(o),
+                extensions::ext_stage_breakdown(o),
+                extensions::ext_metric_weights(o),
+                extensions::ext_forecast_value(o),
+                extensions::ext_decentralized(o),
+            ]
+        },
+    },
+    Entry { name: "profile", default: false, run: profile_campaign },
+];
+
+/// Runs the full profiling campaign (the paper's §4.2.1 measurement
+/// step), fits every Eq. (3)/(5) model, and persists the raw samples plus
+/// fitted coefficients to `<out>/profile.json`; the figure text lists the
+/// fitted models.
+fn profile_campaign(r: &RunOptions) -> Vec<FigureOutput> {
+    eprintln!("running the profiling campaign…");
+    let data = crate::models::run_campaign();
+    let mut lines: Vec<String> = data
+        .exec_models
+        .iter()
+        .map(|(stage, model)| {
+            format!(
+                "stage {stage}: a = {:?}, b = {:?}, R2 = {:.4} over {} samples",
+                model.a, model.b, model.stats.r2, model.stats.n
+            )
+        })
+        .collect();
+    if let Some(b) = data.buffer_model {
+        lines.push(format!(
+            "buffer slope k = {:.4} ms/100 tracks (R2 = {:.4})",
+            b.k * 100.0,
+            b.stats.r2
+        ));
+    }
+    let dir = &r.options.out_dir;
+    let path = dir.join("profile.json");
+    or_exit("write profile", std::fs::create_dir_all(dir).and_then(|()| data.save(&path)));
+    eprintln!("wrote {}", path.display());
+    vec![FigureOutput {
+        id: "profile",
+        title: "Profiling campaign: fitted Eq. (3)/(5) models",
+        text: lines.join("\n"),
+        tables: Vec::new(),
+    }]
+}
 
 /// Options shared by every figure runner.
 #[derive(Debug, Clone)]

@@ -12,11 +12,13 @@
 //! * [`export`] — Chrome trace-event and decision-JSONL exporters for
 //!   observed runs;
 //! * [`report`] — aligned tables, CSV artifacts, ASCII charts;
-//! * [`cli`] — shared flag parsing for the figure binaries.
+//! * [`cli`] — flag parsing and the life cycle of the `run_all` binary.
 //!
-//! Binaries: `fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 fig13 tables
-//! run_all`, each accepting `--quick`, `--analytic`, `--out DIR`,
-//! `--threads N` (and `--extended` where applicable).
+//! The one binary, `run_all` in the root `rtds` package, runs the default
+//! set or the named [`figures::REGISTRY`] entries (`tables`, `fig2` …
+//! `fig13`, `ablations`, `extensions`, `profile`), accepting `--quick`,
+//! `--analytic`, `--out DIR`, `--threads N`, `--extended`, `--perf`,
+//! `--trace-out FILE` and `--decisions-out FILE`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Process-global performance monitoring for `--perf` runs.
 //!
-//! The figure binaries run many simulations through [`crate::scenario`];
+//! `run_all` runs many simulations through [`crate::scenario`];
 //! threading a perf flag through every call site would ripple the
 //! scenario API for a purely diagnostic concern. Instead this module
 //! holds one process-global switch plus an aggregate: when enabled,
@@ -8,10 +8,9 @@
 //! and folds the resulting [`PerfReport`] into the aggregate, which the
 //! binary prints at exit.
 //!
-//! The optional allocation probe is a monotone allocation counter. The
-//! library crates forbid `unsafe`, so a binary that wants allocation
-//! numbers (`run_all --perf`) installs its own counting global allocator
-//! and registers the reader here.
+//! The allocation probe is a monotone allocation counter. The library
+//! crates forbid `unsafe`, so the `run_all` binary installs its own
+//! counting global allocator and registers the reader here.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -27,21 +26,15 @@ static AGG: Mutex<Option<Aggregate>> = Mutex::new(None);
 pub struct Aggregate {
     /// Instrumented simulation runs recorded.
     pub runs: u64,
-    /// Runs whose report carried an allocation count (probe installed).
-    pub alloc_runs: u64,
-    /// Control epochs contributed by those probed runs only.
-    pub alloc_epochs: u64,
     /// Every run's report, folded with `+=`.
     pub report: PerfReport,
 }
 
 /// Turns instrumentation on for all subsequent scenario runs in this
-/// process. `alloc_probe`, if given, must be a monotone allocation
-/// counter (typically backed by a counting global allocator).
-pub fn enable(alloc_probe: Option<fn() -> u64>) {
-    if let Some(p) = alloc_probe {
-        let _ = PROBE.set(p);
-    }
+/// process. `alloc_probe` must be a monotone allocation counter
+/// (typically backed by a counting global allocator).
+pub fn enable(alloc_probe: fn() -> u64) {
+    let _ = PROBE.set(alloc_probe);
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -50,7 +43,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
-/// The registered allocation probe, if any.
+/// The registered allocation probe; `None` until [`enable`].
 pub fn probe() -> Option<fn() -> u64> {
     PROBE.get().copied()
 }
@@ -73,10 +66,6 @@ pub fn record(r: &PerfReport) {
     let agg = guard.get_or_insert_with(Aggregate::default);
     agg.runs += 1;
     agg.report += r;
-    if r.epoch_allocs.is_some() {
-        agg.alloc_runs += 1;
-        agg.alloc_epochs += r.control_epochs;
-    }
 }
 
 /// A snapshot of the aggregate, if any runs were recorded.
@@ -88,30 +77,8 @@ pub fn snapshot() -> Option<Aggregate> {
 /// instrumentation was off or nothing ran.
 pub fn summary() -> Option<String> {
     let agg = snapshot()?;
-    let mut report = agg.report;
-    let mut alloc_note = String::new();
-    if agg.alloc_runs > 0 && agg.alloc_runs < agg.runs {
-        // Partial probe coverage: `render()` would divide the probed
-        // allocation count by *every* run's epochs, understating the
-        // per-epoch rate. Suppress its line and print the honest ratio
-        // over the probed epochs only.
-        let allocs = report.epoch_allocs.take().unwrap_or(0);
-        let per = if agg.alloc_epochs == 0 {
-            0.0
-        } else {
-            allocs as f64 / agg.alloc_epochs as f64
-        };
-        alloc_note = format!(
-            "  allocs: {} over {} probed epochs in {}/{} runs (allocs/epoch={:.1})\n",
-            allocs, agg.alloc_epochs, agg.alloc_runs, agg.runs, per
-        );
-    }
-    Some(format!(
-        "== perf (aggregated over {} simulation runs) ==\n{}{}",
-        agg.runs,
-        report.render(),
-        alloc_note
-    ))
+    let header = format!("== perf (aggregated over {} simulation runs) ==", agg.runs);
+    Some(format!("{header}\n{}", agg.report.render()))
 }
 
 #[cfg(test)]
@@ -125,7 +92,7 @@ mod tests {
     // every other test sharing the process).
 
     #[test]
-    fn aggregate_lifecycle_accumulates_resets_and_reports_partial_probes() {
+    fn aggregate_lifecycle_accumulates_resets_and_reports_allocs() {
         reset();
         assert!(snapshot().is_none(), "reset leaves no aggregate");
         assert!(summary().is_none());
@@ -142,42 +109,19 @@ mod tests {
         record(&r);
         let agg = snapshot().expect("aggregate exists");
         assert_eq!(agg.runs, 2);
-        assert_eq!(agg.alloc_runs, 0);
         assert_eq!(agg.report.events[1], 10);
         assert_eq!(agg.report.queue.popped, 10);
         assert_eq!(agg.report.queue.heap_high_water, 7);
         assert!(summary().expect("non-empty").contains("dispatch"));
 
-        // A third, probed run: allocation coverage is now partial, so
-        // the summary must report the rate over probed epochs only
-        // (120 allocs / 3 probed epochs = 40), not the diluted
-        // 120 / 7 ≈ 17 that folding into one report would suggest.
+        // A probed run: render() divides its allocations by its epochs.
+        reset();
         let mut probed = r.clone();
         probed.control_epochs = 3;
         probed.epoch_allocs = Some(120);
         record(&probed);
-        let agg = snapshot().expect("aggregate exists");
-        assert_eq!(agg.runs, 3);
-        assert_eq!(agg.alloc_runs, 1);
-        assert_eq!(agg.alloc_epochs, 3);
-        assert_eq!(agg.report.epoch_allocs, Some(120));
-        let s = summary().expect("non-empty");
-        assert!(
-            s.contains("allocs: 120 over 3 probed epochs in 1/3 runs (allocs/epoch=40.0)"),
-            "partial-probe line missing or dishonest:\n{s}"
-        );
-        assert!(
-            !s.contains("allocs/epoch=17"),
-            "diluted ratio leaked into the summary:\n{s}"
-        );
-
-        // Full coverage: render()'s own ratio is already honest, so no
-        // extra note appears.
-        reset();
-        record(&probed);
         let s = summary().expect("non-empty");
         assert!(s.contains("allocs/epoch=40.0"), "{s}");
-        assert!(!s.contains("probed epochs in"), "{s}");
 
         // And a batch restart starts the count from zero again.
         reset();

@@ -1,6 +1,6 @@
 //! Textual reporting: aligned tables, CSV files, and ASCII charts.
 //!
-//! Every figure binary renders its data three ways: an aligned console
+//! Every figure renders its data three ways: an aligned console
 //! table (the paper's rows), a CSV file under the output directory (for
 //! external plotting), and a rough ASCII chart for at-a-glance shape
 //! checks.

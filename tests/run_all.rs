@@ -1,0 +1,48 @@
+//! The `run_all` binary end to end: every selection runs under the
+//! counting allocator, and bad input exits with a status, not a panic.
+
+use std::process::{Command, Output};
+
+fn run_all(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn run_all")
+}
+
+#[test]
+fn a_single_figure_reports_allocations_per_epoch() {
+    let out = std::env::temp_dir().join("rtds-run-all-perf");
+    let o = run_all(&[
+        "fig9",
+        "--quick",
+        "--analytic",
+        "--threads",
+        "1",
+        "--perf",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert!(stdout.contains("allocs/epoch="), "{stdout}");
+    assert!(out.join("REPORT.txt").is_file());
+}
+
+#[test]
+fn an_unwritable_profile_exits_1_without_a_panic() {
+    let o = run_all(&["profile", "--out", "/dev/null/x"]);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed to write profile"), "{stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("backtrace"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_name_exits_2_with_usage() {
+    let o = run_all(&["fig99"]);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown name fig99") && stderr.contains("usage: run_all"), "{stderr}");
+}
