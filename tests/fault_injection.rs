@@ -393,3 +393,50 @@ fn dead_node_placement_actions_are_rejected() {
     let out = c.run();
     assert!(out.metrics.rejected_actions > 0, "dead-node placements rejected");
 }
+
+#[test]
+fn small_trace_keeps_late_failures_past_its_capacity() {
+    // A 16-event trace fills within the first period. A crash–restart
+    // late in the run, on a lossy bus, must still leave its witnesses in
+    // the trace: failure-class events are retained past capacity while
+    // routine events are counted and dropped.
+    const CAPACITY: usize = 16;
+    let mut config = ClusterConfig::paper_baseline(13, SimDuration::from_secs(40));
+    config.clock = ClockConfig::perfect();
+    config.bus.drop_prob = 0.1;
+    config.bus.retx_timeout_us = 30_000;
+    config.bus.retx_max_retries = 6;
+    let mut c = Cluster::new(config);
+    c.add_task(aaw_task(), Box::new(|_| 3_000));
+    c.set_controller(Box::new(ResourceManager::new(
+        ArmConfig::paper_predictive(),
+        quick_predictor(),
+    )));
+    c.enable_trace(CAPACITY);
+    c.crash_node_at(
+        NodeId(FILTER_STAGE as u32),
+        SimTime::from_millis(32_100),
+        Some(SimDuration::from_secs(4)),
+    );
+    let out = c.run();
+    assert_eq!(out.metrics.node_restarts, 1);
+    let trace = out.trace.expect("tracing enabled");
+    assert!(trace.dropped() > 0, "the trace really overflowed");
+    let events: Vec<&TraceEvent> = trace.events().iter().map(|(_, e)| e).collect();
+    assert!(
+        events.iter().any(|e| matches!(e, TraceEvent::NodeFailed { node }
+            if node.index() == FILTER_STAGE)),
+        "the late crash is retained"
+    );
+    assert!(
+        events.iter().any(|e| matches!(e, TraceEvent::NodeRestarted { node }
+            if node.index() == FILTER_STAGE)),
+        "the late restart is retained"
+    );
+    assert!(
+        events.iter().any(|e| matches!(e, TraceEvent::MessageLost { .. })),
+        "terminal message losses are retained"
+    );
+    let ordinary = events.iter().filter(|e| !e.is_failure_class()).count();
+    assert!(ordinary <= CAPACITY, "{ordinary} ordinary events stored");
+}
