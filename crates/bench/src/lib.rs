@@ -9,9 +9,7 @@
 
 use rtds_arm::predictor::Predictor;
 use rtds_experiments::models::quick_predictor;
-use rtds_experiments::scenario::{
-    FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
-};
+use rtds_experiments::scenario::{FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
 use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
@@ -33,7 +31,7 @@ pub fn bench_scenario(pattern: PatternSpec, policy: PolicySpec) -> ScenarioConfi
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     }
 }
 

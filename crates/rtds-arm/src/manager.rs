@@ -192,12 +192,6 @@ impl ResourceManager {
         self.audit = Some(sink);
     }
 
-    /// Builder-style [`ResourceManager::set_decision_sink`].
-    pub fn with_decision_sink(mut self, sink: Box<dyn EventSink<DecisionRecord> + Send>) -> Self {
-        self.set_decision_sink(sink);
-        self
-    }
-
     /// The online refiner of one stage, if refinement is enabled.
     pub fn refiner(&self, stage: usize) -> Option<&OnlineRefiner> {
         self.refiners.as_ref().map(|r| &r[stage])
@@ -963,8 +957,8 @@ mod tests {
         use std::sync::{Arc, Mutex};
 
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = manager(ArmConfig::paper_predictive())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = manager(ArmConfig::paper_predictive());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let c = ctx(vec![15.0; 6], home_placements(), 14_000);
         m.on_period_boundary(&[], &c); // init deadlines
         let obs = obs_with_filter_latency(900.0, 14_000);
@@ -1027,8 +1021,8 @@ mod tests {
         use std::sync::{Arc, Mutex};
 
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = manager(ArmConfig::paper_nonpredictive())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = manager(ArmConfig::paper_nonpredictive());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let utils = vec![10.0, 30.0, 15.0, 25.0, 5.0, 2.0];
         let c = ctx(utils, home_placements(), 14_000);
         m.on_period_boundary(&[], &c);
@@ -1060,8 +1054,8 @@ mod tests {
         let mut cfg = ArmConfig::paper_predictive();
         cfg.monitor.shutdown_patience = 2;
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
-        let mut m = ResourceManager::new(cfg, predictor())
-            .with_decision_sink(Box::new(Arc::clone(&shared)));
+        let mut m = ResourceManager::new(cfg, predictor());
+        m.set_decision_sink(Box::new(Arc::clone(&shared)));
         let mut placements = home_placements();
         placements[FILTER_STAGE] = vec![NodeId(2), NodeId(5)];
         let c = ctx(vec![10.0; 6], placements, 1_000);

@@ -1,8 +1,9 @@
 //! Observability exporters: Chrome trace-event JSON and decision JSONL.
 //!
-//! Turns the opt-in artifacts of an observed run — the [`TraceSink`]
-//! event log, the [`DecisionRecord`] audit stream, and (optionally) the
-//! aggregated [`PerfReport`] — into files a human can open:
+//! Turns the opt-in artifacts of an observed run — the [`TraceEvent`]
+//! log in its [`BoundedSink`], the [`DecisionRecord`] audit stream, and
+//! (optionally) the aggregated [`PerfReport`] — into files a human can
+//! open:
 //!
 //! * [`chrome_trace`] renders the Chrome *trace-event format*
 //!   (<https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>),
@@ -26,7 +27,8 @@ use std::path::{Path, PathBuf};
 use rtds_arm::audit::DecisionRecord;
 use rtds_sim::perf::{PerfReport, PHASE_NAMES};
 use rtds_sim::time::SimTime;
-use rtds_sim::trace::{TraceEvent, TraceSink};
+use rtds_sim::sink::BoundedSink;
+use rtds_sim::trace::TraceEvent;
 
 /// Synthetic process id for simulation-time rows in the exported trace.
 const PID_SIM: u32 = 1;
@@ -88,7 +90,7 @@ fn push_span(out: &mut Vec<Line>, ts: u64, dur: u64, name: &str, pid: u32, tid: 
 /// wall-clock breakdown as slices under a separate synthetic process —
 /// wall time, not simulation time, which the `args` spell out.
 pub fn chrome_trace(
-    trace: Option<&TraceSink>,
+    trace: Option<&BoundedSink<TraceEvent>>,
     decisions: &[(SimTime, DecisionRecord)],
     perf: Option<&PerfReport>,
 ) -> String {
@@ -251,7 +253,7 @@ pub fn write_observed_probe(
         14_000,
     );
     cfg.n_periods = 40;
-    cfg.observe = crate::scenario::ObserveConfig::full();
+    cfg.observe = true;
     let result = crate::scenario::run_scenario(&cfg, &crate::models::quick_predictor());
 
     let mut written = Vec::new();
@@ -281,7 +283,7 @@ pub fn write_observed_probe(
 mod tests {
     use super::*;
     use crate::models::quick_predictor;
-    use crate::scenario::{run_scenario, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig};
+    use crate::scenario::{run_scenario, PatternSpec, PolicySpec, ScenarioConfig};
 
     fn observed_result() -> crate::scenario::ScenarioResult {
         let mut cfg = ScenarioConfig::paper(
@@ -290,7 +292,7 @@ mod tests {
             14_000,
         );
         cfg.n_periods = 30;
-        cfg.observe = ObserveConfig::full();
+        cfg.observe = true;
         run_scenario(&cfg, &quick_predictor())
     }
 

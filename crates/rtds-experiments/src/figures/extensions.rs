@@ -47,7 +47,7 @@ fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> Scenario
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: crate::scenario::ObserveConfig::default(),
+        observe: false,
     }
 }
 

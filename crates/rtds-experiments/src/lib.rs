@@ -36,7 +36,6 @@ pub use figures::{FigureOptions, FigureOutput};
 pub use export::{chrome_trace, decisions_jsonl, validate_chrome_trace};
 pub use serde_json;
 pub use scenario::{
-    run_scenario, CrashFault, FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
-    ScenarioResult,
+    run_scenario, CrashFault, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig, ScenarioResult,
 };
 pub use sweep::{run_sweep, SweepConfig, SweepPoint, TRACKS_PER_UNIT};

@@ -4,7 +4,10 @@
 //! 100 Mbps Ethernet, the 5-subtask AAW task, 990 ms deadline) + a
 //! workload pattern + a resource-management policy + ambient background
 //! load. [`run_scenario`] builds the cluster, runs it, and reduces the
-//! result to the four paper metrics plus the combined metric.
+//! result to the four paper metrics plus the combined metric. With
+//! [`ScenarioConfig::observe`] set it also hands back the run's event
+//! trace and decision audit, each a bounded in-memory buffer
+//! ([`BoundedSink`]); the metrics are the same either way.
 
 use std::sync::{Arc, Mutex};
 
@@ -23,7 +26,7 @@ use rtds_sim::net::JamWindow;
 use rtds_sim::sched::SchedulerKind;
 use rtds_sim::sink::BoundedSink;
 use rtds_sim::time::{SimDuration, SimTime};
-use rtds_sim::trace::TraceSink;
+use rtds_sim::trace::TraceEvent;
 use rtds_workloads::{
     Burst, DecreasingRamp, IncreasingRamp, Pattern, RandomWalk, Sinusoid, Step,
     Triangular, WorkloadRange,
@@ -167,41 +170,17 @@ pub struct ScenarioConfig {
     /// which case the run is byte-identical to a scenario without the
     /// field.
     pub faults: FaultPlan,
-    /// Observability sinks: event trace and decision audit. Defaults to
-    /// everything off; enabling them never changes simulation outcomes
-    /// (zero observer effect), it only fills [`ScenarioResult::trace`]
-    /// and [`ScenarioResult::decisions`].
-    pub observe: ObserveConfig,
+    /// Observability: collect the event trace and the manager's
+    /// [`DecisionRecord`] audit. Off by default; turning it on never
+    /// changes simulation outcomes (zero observer effect), it only fills
+    /// [`ScenarioResult::trace`] and [`ScenarioResult::decisions`].
+    pub observe: bool,
 }
 
-/// Opt-in observability for one scenario run. Everything defaults to off;
-/// each knob only *collects* data — decisions, placements, metrics, and
-/// figures are identical with or without it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct ObserveConfig {
-    /// Capacity of the in-memory [`TraceSink`] (ordinary events beyond it
-    /// are dropped; failure-class events are always kept). `None`
-    /// disables tracing entirely.
-    pub trace_capacity: Option<usize>,
-    /// Collect a [`DecisionRecord`] stream from the resource manager
-    /// explaining every replicate / shut-down / no-op choice.
-    pub decisions: bool,
-}
-
-impl ObserveConfig {
-    /// Trace capacity used by [`ObserveConfig::full`] — generous enough
-    /// for any paper-scale run without risking unbounded growth.
-    pub const FULL_TRACE_CAPACITY: usize = 1 << 16;
-
-    /// Everything on: bounded trace plus decision audit.
-    pub fn full() -> Self {
-        ObserveConfig {
-            trace_capacity: Some(Self::FULL_TRACE_CAPACITY),
-            decisions: true,
-        }
-    }
-}
+/// Capacity of each observed stream: generous enough for any paper-scale
+/// run without risking unbounded growth. The trace keeps failure-class
+/// events past it.
+const OBSERVE_CAPACITY: usize = 1 << 16;
 
 /// Declarative failure-realism configuration for a scenario: the knobs of
 /// the degraded-mode experiments. `FaultPlan::default()` disables every
@@ -259,7 +238,7 @@ impl ScenarioConfig {
             online_refinement: false,
             failures: Vec::new(),
             faults: FaultPlan::default(),
-            observe: ObserveConfig::default(),
+            observe: false,
         }
     }
 }
@@ -275,10 +254,10 @@ pub struct ScenarioResult {
     pub metrics: RunMetrics,
     /// Policy that ran.
     pub policy: &'static str,
-    /// Event trace, when [`ObserveConfig::trace_capacity`] was set.
-    pub trace: Option<TraceSink>,
+    /// Event trace, when [`ScenarioConfig::observe`] was set.
+    pub trace: Option<BoundedSink<TraceEvent>>,
     /// Decision-audit records in emission order, when
-    /// [`ObserveConfig::decisions`] was set (always empty for
+    /// [`ScenarioConfig::observe`] was set (always empty for
     /// [`PolicySpec::None`], which makes no decisions).
     pub decisions: Vec<(SimTime, DecisionRecord)>,
 }
@@ -337,17 +316,14 @@ fn run_scenario_on(
         }
     }
 
-    if let Some(capacity) = cfg.observe.trace_capacity {
-        cluster.enable_trace(capacity);
+    if cfg.observe {
+        cluster.enable_trace(OBSERVE_CAPACITY);
     }
     // The decision sink is shared: the manager (consumed by the cluster)
     // records through one handle; this function drains the other after
     // the run has dropped the manager.
-    let decision_sink = (cfg.observe.decisions && cfg.policy != PolicySpec::None).then(|| {
-        Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(
-            ObserveConfig::FULL_TRACE_CAPACITY,
-        )))
-    });
+    let decision_sink = (cfg.observe && cfg.policy != PolicySpec::None)
+        .then(|| Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(OBSERVE_CAPACITY))));
 
     let arm_config = |mut c: ArmConfig| {
         c.online_refinement = cfg.online_refinement;

@@ -12,9 +12,7 @@
 use std::sync::Mutex;
 
 use rtds_arm::predictor::Predictor;
-use crate::scenario::{
-    run_scenario, FaultPlan, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
-};
+use crate::scenario::{run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
 use rtds_workloads::WorkloadRange;
 
 /// Tracks per scale unit on every figure's x-axis ("1 scale unit = 500
@@ -68,11 +66,10 @@ pub struct SweepConfig {
     /// Failure-realism plan applied identically to every point (default:
     /// everything off — the clean-network headline sweeps).
     pub faults: FaultPlan,
-    /// Observability sinks applied to every point (default: off). Sweep
-    /// points only keep the aggregate numbers, so this is useful purely
-    /// to prove the observer effect is zero — the per-run payloads are
-    /// dropped.
-    pub observe: ObserveConfig,
+    /// Observability applied to every point (default: off). Sweep points
+    /// only keep the aggregate numbers, so this is useful purely to prove
+    /// the observer effect is zero — the per-run payloads are dropped.
+    pub observe: bool,
 }
 
 impl SweepConfig {
@@ -89,7 +86,7 @@ impl SweepConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             faults: FaultPlan::default(),
-            observe: ObserveConfig::default(),
+            observe: false,
         }
     }
 
@@ -388,7 +385,7 @@ mod tests {
         cfg.n_periods = 20;
         let p = quick_predictor();
         let plain = run_sweep(&cfg, &p);
-        cfg.observe = ObserveConfig::full();
+        cfg.observe = true;
         let observed = run_sweep(&cfg, &p);
         assert_eq!(deterministic_csv(&plain), deterministic_csv(&observed));
     }

@@ -1,12 +1,11 @@
 //! The simulated distributed system: a thin composition root.
 //!
-//! [`Cluster`] binds the simulation kernel ([`crate::kernel::SimKernel`]:
-//! event queue, clocks, RNG, virtual lanes, metrics, observability hooks)
-//! to the engine components that implement the domain behavior — dispatch
-//! ([`crate::engine::DispatchEngine`]), network ([`crate::engine::NetEngine`]),
-//! faults ([`crate::engine::FaultEngine`]), background load
-//! ([`crate::engine::LoadEngine`]), and the task table
-//! ([`crate::engine::TaskTable`]) — the execution environment of paper §3.
+//! [`Cluster`] binds the simulation kernel (`SimKernel`: event queue,
+//! clocks, RNG, virtual lanes, metrics, observability hooks) to the engine
+//! components that implement the domain behavior — dispatch
+//! (`DispatchEngine`), network (`NetEngine`), faults (`FaultEngine`),
+//! background load (`LoadEngine`), and the task table (`TaskTable`) — the
+//! execution environment of paper §3.
 //! What remains here is composition: construction, the event loop, the
 //! period-boundary controller epoch, and finalization.
 //!
@@ -33,8 +32,9 @@ use crate::net::BusConfig;
 use crate::perf::{PerfReport, PerfState};
 use crate::pipeline::{InstanceState, TaskSpec};
 use crate::sched::SchedulerKind;
+use crate::sink::BoundedSink;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 
 pub use crate::engine::tasks::WorkloadFn;
 
@@ -89,7 +89,7 @@ pub struct RunOutcome {
     /// Controller name, for reports.
     pub controller: &'static str,
     /// The event trace, if tracing was enabled.
-    pub trace: Option<TraceSink>,
+    pub trace: Option<BoundedSink<TraceEvent>>,
     /// Performance counters, if `enable_perf` was called before the run.
     pub perf: Option<PerfReport>,
 }
@@ -127,6 +127,8 @@ pub trait ClusterApi {
     fn set_controller(&mut self, controller: Box<dyn Controller>);
 
     /// Enables structured tracing with the given event capacity.
+    /// Failure-class events ([`TraceEvent::is_failure_class`]) are kept
+    /// even past it.
     fn enable_trace(&mut self, capacity: usize);
 
     /// Enables performance instrumentation for the coming run. The
@@ -648,7 +650,7 @@ impl ClusterApi for Cluster {
     }
 
     fn enable_trace(&mut self, capacity: usize) {
-        self.kernel.trace = Some(TraceSink::bounded(capacity));
+        self.kernel.trace = Some(BoundedSink::retaining(capacity, TraceEvent::is_failure_class));
     }
 
     fn enable_perf(&mut self, alloc_probe: Option<fn() -> u64>) {

@@ -478,7 +478,7 @@ fn crash_mid_transmission_is_tolerated_and_counted() {
     assert!(out.metrics.messages_lost >= 1, "aborted in-flight message counts as lost");
     let trace = out.trace.expect("trace enabled");
     assert!(
-        trace.filtered(|e| matches!(e, TraceEvent::MessageLost { .. })).count() >= 1,
+        trace.events().iter().any(|(_, e)| matches!(e, TraceEvent::MessageLost { .. })),
         "loss is traced:\n{}",
         trace.render()
     );
@@ -505,7 +505,9 @@ fn crash_restart_rejoins_and_periods_recover() {
     let trace = out.trace.expect("trace enabled");
     assert_eq!(
         trace
-            .filtered(|e| matches!(e, TraceEvent::NodeRestarted { node } if *node == NodeId(1)))
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::NodeRestarted { node } if *node == NodeId(1)))
             .count(),
         1
     );

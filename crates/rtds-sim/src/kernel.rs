@@ -4,8 +4,9 @@
 //! *regardless* of what is being simulated: the `(time, seq)`-ordered
 //! [`EventQueue`], the [`ClockModel`], the seeded [`SimRng`] streams, the
 //! [`Lanes`] carrying the virtual-lane fast path, the optional
-//! [`TraceSink`] / [`PerfState`] observability hooks, the [`RunMetrics`]
-//! accumulator, and the reusable scratch buffers of the hot paths.
+//! observability hooks (the event trace, a [`BoundedSink`], and
+//! [`PerfState`]), the [`RunMetrics`] accumulator, and the reusable
+//! scratch buffers of the hot paths.
 //!
 //! Domain behavior lives in the engine components
 //! (`crate::engine::{DispatchEngine, NetEngine, FaultEngine, LoadEngine,
@@ -25,8 +26,9 @@ use crate::lane::Lanes;
 use crate::metrics::RunMetrics;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
+use crate::sink::{BoundedSink, EventSink};
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 
 /// Events driving the simulation. Owned by the kernel (the queue is typed
 /// over it); each variant is handled by the engine that owns its domain.
@@ -130,7 +132,7 @@ pub(crate) struct SimKernel {
     /// generator's next `BgPoll`, off the event queue.
     pub lanes: Lanes,
     /// Optional structured trace.
-    pub trace: Option<TraceSink>,
+    pub trace: Option<BoundedSink<TraceEvent>>,
     /// Instrumentation, present only when `enable_perf` was called. The
     /// hot loop pays a single branch per event when this is `None`.
     pub perf: Option<Box<PerfState>>,

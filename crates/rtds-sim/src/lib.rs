@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::pipeline::{PolynomialCost, StageSpec, TaskSpec};
     pub use crate::rng::SimRng;
     pub use crate::sched::{CpuScheduler, SchedulerKind};
-    pub use crate::sink::{BoundedSink, EventSink, JsonlSink};
-    pub use crate::trace::{TraceEvent, TraceSink};
+    pub use crate::sink::{BoundedSink, EventSink};
+    pub use crate::trace::TraceEvent;
     pub use crate::time::{SimDuration, SimTime};
 }

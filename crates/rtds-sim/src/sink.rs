@@ -1,14 +1,11 @@
-//! Generalized event sinks.
+//! Event sinks: the one bounded buffer for observed events.
 //!
-//! [`crate::trace::TraceSink`] predates this module and is one concrete
-//! consumer of simulator events; the observability layer needs the same
-//! shape for other event types (decision-audit records from the resource
-//! manager, most prominently) and other backends (streaming JSONL to a
-//! file instead of bounded in-memory buffering). [`EventSink`] is that
-//! generalization: anything that accepts `(time, event)` pairs. The
-//! simulator and managers write through the trait; what happens to the
-//! events — bounded buffering, streaming serialization, or discarding —
-//! is the sink's business.
+//! [`EventSink`] is anything that accepts `(time, event)` pairs; the
+//! resource manager records its decision audit through it, behind an
+//! `Arc<Mutex<_>>` shared with the embedder. [`BoundedSink`] is the one
+//! buffer type behind both observed streams: the simulator's event trace
+//! ([`crate::trace::TraceEvent`]) and the manager's decision records.
+//! The two differ only in their retention rule, which the sink owns.
 //!
 //! Sinks are strictly opt-in and must never influence the simulation:
 //! implementations record and step aside. Nothing in this module draws
@@ -19,17 +16,13 @@ use crate::time::SimTime;
 
 /// A consumer of timestamped events.
 ///
-/// The contract mirrors [`crate::trace::TraceSink::record`]: `record` is
-/// called in nondecreasing time order, once per event, and must not fail
-/// loudly — a sink that hits an internal error (e.g. a full buffer or a
-/// broken writer) degrades by dropping events and exposing a counter,
-/// never by panicking into the simulation.
+/// `record` is called in nondecreasing time order, once per event, and
+/// must not fail loudly — a sink that hits an internal limit (e.g. a full
+/// buffer) degrades by dropping events and exposing a counter, never by
+/// panicking into the simulation.
 pub trait EventSink<E> {
     /// Accepts one event observed at simulated time `now`.
     fn record(&mut self, now: SimTime, event: E);
-
-    /// Flushes any buffered output. Default: nothing to flush.
-    fn flush(&mut self) {}
 }
 
 /// Every sink behind `Arc<Mutex<_>>` is itself a sink; this is how one
@@ -41,19 +34,22 @@ impl<E, S: EventSink<E>> EventSink<E> for std::sync::Arc<std::sync::Mutex<S>> {
     fn record(&mut self, now: SimTime, event: E) {
         self.lock().unwrap_or_else(|e| e.into_inner()).record(now, event);
     }
-
-    fn flush(&mut self) {
-        self.lock().unwrap_or_else(|e| e.into_inner()).flush();
-    }
 }
 
-/// A bounded in-memory sink for any event type — the generic sibling of
-/// [`crate::trace::TraceSink`]. Events past `capacity` are counted and
-/// dropped so a runaway producer cannot OOM the run.
-#[derive(Debug, Default)]
+/// A bounded in-memory sink for any event type.
+///
+/// Once `capacity` events are stored, further events are counted in
+/// [`BoundedSink::dropped`] and discarded — newest first, since the
+/// buffer fills front to back — so a runaway producer cannot OOM the
+/// run. A retention rule ([`BoundedSink::retaining`]) exempts the events
+/// it accepts from the bound: the event trace keeps failure-class events
+/// so a crash at the end of a long run never vanishes because routine
+/// events filled the buffer hours earlier.
+#[derive(Debug, Clone)]
 pub struct BoundedSink<E> {
     events: Vec<(SimTime, E)>,
     capacity: usize,
+    keep: fn(&E) -> bool,
     dropped: u64,
 }
 
@@ -63,10 +59,21 @@ impl<E> BoundedSink<E> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn bounded(capacity: usize) -> Self {
+        Self::retaining(capacity, |_| false)
+    }
+
+    /// Creates a sink holding at most `capacity` events, except that
+    /// events `keep` accepts are stored even past capacity. The rule must
+    /// accept only rare events, or the bound stops meaning anything.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn retaining(capacity: usize, keep: fn(&E) -> bool) -> Self {
         assert!(capacity > 0, "zero-capacity event sink");
         BoundedSink {
             events: Vec::new(),
             capacity,
+            keep,
             dropped: 0,
         }
     }
@@ -89,88 +96,11 @@ impl<E> BoundedSink<E> {
 
 impl<E> EventSink<E> for BoundedSink<E> {
     fn record(&mut self, now: SimTime, event: E) {
-        if self.events.len() < self.capacity {
+        if self.events.len() < self.capacity || (self.keep)(&event) {
             self.events.push((now, event));
         } else {
             self.dropped += 1;
         }
-    }
-}
-
-/// A streaming JSONL sink: each event becomes one line of the form
-/// `{"at_us":<time>,"event":<serialized event>}` written straight to the
-/// underlying writer. Memory use is constant regardless of run length —
-/// the right backend for long soaks where a bounded buffer would wrap.
-///
-/// Write errors do not panic (telemetry must never take down a run):
-/// the first error is retained, subsequent events are counted as dropped,
-/// and the embedder can inspect [`JsonlSink::error`] after the run.
-#[derive(Debug)]
-pub struct JsonlSink<W: std::io::Write> {
-    out: W,
-    lines: u64,
-    dropped: u64,
-    error: Option<String>,
-}
-
-impl<W: std::io::Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlSink {
-            out,
-            lines: 0,
-            dropped: 0,
-            error: None,
-        }
-    }
-
-    /// Lines successfully written.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Events dropped after the first error.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The first serialization or write error, if any occurred.
-    pub fn error(&self) -> Option<&str> {
-        self.error.as_deref()
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
-    }
-}
-
-impl<W: std::io::Write, E: serde::Serialize> EventSink<E> for JsonlSink<W> {
-    fn record(&mut self, now: SimTime, event: E) {
-        if self.error.is_some() {
-            self.dropped += 1;
-            return;
-        }
-        let line = match serde_json::to_string(&event) {
-            Ok(js) => js,
-            Err(e) => {
-                self.error = Some(format!("serialize: {e:?}"));
-                self.dropped += 1;
-                return;
-            }
-        };
-        if let Err(e) = writeln!(self.out, "{{\"at_us\":{},\"event\":{}}}", now.as_micros(), line)
-        {
-            self.error = Some(format!("write: {e}"));
-            self.dropped += 1;
-        } else {
-            self.lines += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
     }
 }
 
@@ -199,38 +129,18 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_envelope_per_event() {
-        let mut s = JsonlSink::new(Vec::new());
-        s.record(SimTime::from_micros(1_500), 7u32);
-        s.record(SimTime::from_micros(2_500), 9u32);
-        EventSink::<u32>::flush(&mut s);
-        assert_eq!(s.lines(), 2);
-        assert_eq!(s.error(), None);
-        let text = String::from_utf8(s.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"at_us\":1500,\"event\":7}");
-        assert_eq!(lines[1], "{\"at_us\":2500,\"event\":9}");
-    }
-
-    #[test]
-    fn jsonl_sink_survives_a_broken_writer() {
-        /// A writer that always fails.
-        struct Broken;
-        impl std::io::Write for Broken {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    fn retaining_sink_keeps_accepted_events_past_capacity() {
+        // Regression: a full trace used to drop the *newest* events
+        // unconditionally, so end-of-run failures — exactly what
+        // post-mortems need — vanished first. Here odd numbers stand in
+        // for failure-class events.
+        let mut s: BoundedSink<u32> = BoundedSink::retaining(2, |e| e % 2 == 1);
+        for e in [0, 2, 4, 6, 1, 3, 8, 5, 10] {
+            s.record(SimTime::from_millis(u64::from(e)), e);
         }
-        let mut s = JsonlSink::new(Broken);
-        s.record(SimTime::ZERO, 1u32);
-        s.record(SimTime::ZERO, 2u32);
-        assert_eq!(s.lines(), 0);
-        assert_eq!(s.dropped(), 2);
-        assert!(s.error().unwrap().contains("disk on fire"));
+        let kept: Vec<u32> = s.events().iter().map(|&(_, e)| e).collect();
+        assert_eq!(kept, [0, 2, 1, 3, 5], "2 ordinary + every accepted event, in order");
+        assert_eq!(s.dropped(), 4, "the ordinary events past capacity");
     }
 
     #[test]
@@ -238,7 +148,6 @@ mod tests {
         let shared = Arc::new(Mutex::new(BoundedSink::bounded(4)));
         let mut handle = Arc::clone(&shared);
         handle.record(SimTime::from_millis(3), 42u32);
-        EventSink::<u32>::flush(&mut handle);
         assert_eq!(shared.lock().unwrap().events(), &[(SimTime::from_millis(3), 42)]);
     }
 }

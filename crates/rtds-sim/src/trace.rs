@@ -4,11 +4,13 @@
 //! into: one [`TraceEvent`] per interesting state change (release, stage
 //! completion, message delivery, placement change, shedding, node
 //! failure). Tests assert against traces instead of printf-debugging, and
-//! the `aaw_mission` example renders one. Disabled by default — a
-//! [`TraceSink`] is opt-in and bounded.
+//! the `aaw_mission` example renders one. Disabled by default — the
+//! trace is an opt-in [`BoundedSink`] that retains failure-class events
+//! past its capacity ([`TraceEvent::is_failure_class`]).
 
 use crate::ids::{MsgId, NodeId, StageId};
-use crate::time::{SimDuration, SimTime};
+use crate::sink::BoundedSink;
+use crate::time::SimDuration;
 
 /// One traced state change.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +104,9 @@ impl TraceEvent {
     /// True for events that witness a failure or a lost deadline: sheds,
     /// missed instances, node failures/restarts, and terminal message
     /// losses. These are what post-mortems and tests care most about, so
-    /// a full [`TraceSink`] keeps them even past its capacity.
+    /// the trace keeps them even past its capacity. Failure events are
+    /// rare by nature (bounded by fault-plan entries and released
+    /// instances, not by simulated time), so the bound stays effective.
     /// `Retransmit` and `MessageDuplicated` are *recovered* anomalies and
     /// deliberately excluded — under a lossy bus they are high-volume and
     /// would defeat the bound.
@@ -119,68 +123,13 @@ impl TraceEvent {
     }
 }
 
-/// A bounded in-memory trace sink.
-///
-/// Once `capacity` ordinary events have been recorded, further ordinary
-/// events are counted in [`TraceSink::dropped`] and discarded — newest
-/// first, since the buffer fills front-to-back. Failure-class events
-/// ([`TraceEvent::is_failure_class`]) are exempt from the bound: a crash
-/// or deadline miss at the end of a long run must not vanish because the
-/// buffer filled with routine releases hours earlier. Failure events are
-/// rare by nature (bounded by fault-plan entries and released instances,
-/// not by simulated time), so the memory bound stays effective.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink {
-    events: Vec<(SimTime, TraceEvent)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceSink {
-    /// Creates a sink holding at most `capacity` ordinary events; further
-    /// ordinary events are counted but dropped (the run never OOMs
-    /// because of tracing). Failure-class events are always retained.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "zero-capacity trace sink");
-        TraceSink {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records an event at `now`.
-    pub fn record(&mut self, now: SimTime, event: TraceEvent) {
-        if self.events.len() < self.capacity || event.is_failure_class() {
-            self.events.push((now, event));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded events in order.
-    pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Number of events dropped after the sink filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events matching a predicate.
-    pub fn filtered<'a>(
-        &'a self,
-        mut pred: impl FnMut(&TraceEvent) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a (SimTime, TraceEvent)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
-    /// Renders a human-readable log.
+impl BoundedSink<TraceEvent> {
+    /// Renders the trace as a human-readable log: one line per stored
+    /// event, then the dropped count if any event was dropped.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (t, e) in &self.events {
+        for (t, e) in self.events() {
             let _ = match e {
                 TraceEvent::Release { instance, tracks } => {
                     writeln!(out, "{t} release   #{instance} tracks={tracks}")
@@ -219,18 +168,10 @@ impl TraceSink {
                 }
             };
         }
-        if self.dropped > 0 {
-            let _ = writeln!(out, "({} further events dropped)", self.dropped);
+        if self.dropped() > 0 {
+            let _ = writeln!(out, "({} further events dropped)", self.dropped());
         }
         out
-    }
-}
-
-/// The bounded trace sink is one concrete [`crate::sink::EventSink`];
-/// the JSONL writer in the same module is another.
-impl crate::sink::EventSink<TraceEvent> for TraceSink {
-    fn record(&mut self, now: SimTime, event: TraceEvent) {
-        TraceSink::record(self, now, event);
     }
 }
 
@@ -238,83 +179,44 @@ impl crate::sink::EventSink<TraceEvent> for TraceSink {
 mod tests {
     use super::*;
     use crate::ids::{SubtaskIdx, TaskId};
+    use crate::sink::EventSink;
+    use crate::time::SimTime;
 
     fn stage() -> StageId {
         StageId::new(TaskId(0), SubtaskIdx(2))
     }
 
     #[test]
-    fn records_in_order() {
-        let mut s = TraceSink::bounded(10);
-        s.record(SimTime::from_millis(1), TraceEvent::Release { instance: 0, tracks: 7 });
-        s.record(
-            SimTime::from_millis(2),
-            TraceEvent::StageDone { stage: stage(), instance: 0 },
-        );
-        assert_eq!(s.events().len(), 2);
-        assert!(s.events()[0].0 < s.events()[1].0);
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
-    fn bounded_sink_drops_overflow_without_losing_count() {
-        let mut s = TraceSink::bounded(2);
-        for i in 0..5 {
-            s.record(SimTime::from_millis(i), TraceEvent::Release { instance: i, tracks: 1 });
-        }
-        assert_eq!(s.events().len(), 2);
-        assert_eq!(s.dropped(), 3);
-        assert!(s.render().contains("3 further events dropped"));
-    }
-
-    #[test]
-    fn full_sink_still_retains_failure_class_events() {
-        // Regression: a full sink used to drop the *newest* events
-        // unconditionally, so end-of-run failures — exactly what
-        // post-mortems need — vanished first.
-        let mut s = TraceSink::bounded(2);
-        for i in 0..4 {
-            s.record(SimTime::from_millis(i), TraceEvent::Release { instance: i, tracks: 1 });
-        }
-        s.record(SimTime::from_millis(10), TraceEvent::NodeFailed { node: NodeId(3) });
-        s.record(SimTime::from_millis(11), TraceEvent::Shed { instance: 9 });
-        s.record(
-            SimTime::from_millis(12),
+    fn failure_class_is_failures_not_recovered_anomalies() {
+        let failures = [
+            TraceEvent::NodeFailed { node: NodeId(3) },
+            TraceEvent::NodeRestarted { node: NodeId(3) },
+            TraceEvent::Shed { instance: 9 },
             TraceEvent::MessageLost { msg: MsgId(5), dst: NodeId(3) },
-        );
-        s.record(
-            SimTime::from_millis(13),
+            TraceEvent::MessageDropped { msg: MsgId(5) },
             TraceEvent::InstanceDone {
                 instance: 9,
                 latency: SimDuration::from_millis(999),
                 missed: true,
             },
-        );
-        // Recovered anomalies and routine events still respect the bound.
-        s.record(SimTime::from_millis(14), TraceEvent::Retransmit { msg: MsgId(6), attempt: 1 });
-        s.record(SimTime::from_millis(15), TraceEvent::Release { instance: 10, tracks: 1 });
-
-        let kept: Vec<&TraceEvent> = s.events().iter().map(|(_, e)| e).collect();
-        assert_eq!(kept.len(), 6, "2 ordinary + 4 failure-class:\n{}", s.render());
-        assert!(kept.iter().filter(|e| e.is_failure_class()).count() == 4);
-        assert_eq!(s.dropped(), 4); // 2 overflow releases + retransmit + last release
-    }
-
-    #[test]
-    fn filtered_selects_matching_kinds() {
-        let mut s = TraceSink::bounded(16);
-        s.record(SimTime::ZERO, TraceEvent::Release { instance: 0, tracks: 1 });
-        s.record(SimTime::ZERO, TraceEvent::NodeFailed { node: NodeId(3) });
-        s.record(SimTime::ZERO, TraceEvent::Release { instance: 1, tracks: 2 });
-        let releases: Vec<_> = s
-            .filtered(|e| matches!(e, TraceEvent::Release { .. }))
-            .collect();
-        assert_eq!(releases.len(), 2);
+        ];
+        let ordinary = [
+            TraceEvent::Release { instance: 10, tracks: 1 },
+            TraceEvent::Retransmit { msg: MsgId(6), attempt: 1 },
+            TraceEvent::MessageDuplicated { msg: MsgId(6) },
+            TraceEvent::InstanceDone {
+                instance: 10,
+                latency: SimDuration::from_millis(500),
+                missed: false,
+            },
+        ];
+        assert!(failures.iter().all(TraceEvent::is_failure_class));
+        assert!(!ordinary.iter().any(TraceEvent::is_failure_class));
     }
 
     #[test]
     fn render_is_line_oriented_and_labeled() {
-        let mut s = TraceSink::bounded(8);
+        let mut s = BoundedSink::retaining(2, TraceEvent::is_failure_class);
         s.record(
             SimTime::from_millis(5),
             TraceEvent::InstanceDone {
@@ -330,21 +232,19 @@ mod tests {
                 nodes: vec![NodeId(2), NodeId(5)],
             },
         );
+        for i in 0..3 {
+            s.record(SimTime::from_millis(7 + i), TraceEvent::Release { instance: i, tracks: 1 });
+        }
         let r = s.render();
         assert!(r.contains("MISSED"));
         assert!(r.contains("placement"));
-        assert_eq!(r.lines().count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_rejected() {
-        let _ = TraceSink::bounded(0);
+        assert!(r.ends_with("(3 further events dropped)\n"), "{r}");
+        assert_eq!(r.lines().count(), 3);
     }
 
     #[test]
     fn failure_realism_events_render_distinctly() {
-        let mut s = TraceSink::bounded(8);
+        let mut s = BoundedSink::bounded(8);
         s.record(SimTime::ZERO, TraceEvent::NodeRestarted { node: NodeId(2) });
         s.record(SimTime::ZERO, TraceEvent::MessageLost { msg: MsgId(7), dst: NodeId(1) });
         s.record(SimTime::ZERO, TraceEvent::MessageDropped { msg: MsgId(8) });

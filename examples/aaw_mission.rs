@@ -92,7 +92,7 @@ fn main() {
     if let Some(trace) = &outcome.trace {
         println!();
         println!("placement decisions:");
-        for (t, e) in trace.filtered(|e| matches!(e, TraceEvent::Placement { .. })) {
+        for (t, e) in trace.events() {
             if let TraceEvent::Placement { stage, nodes } = e {
                 println!("  {t} {stage} -> {nodes:?}");
             }

@@ -30,7 +30,7 @@ fn main() {
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let predictor = rtds::experiments::models::quick_predictor();
 

@@ -44,7 +44,7 @@ fn main() {
                 online_refinement: false,
                 failures: Vec::new(),
                 faults: FaultPlan::default(),
-                observe: ObserveConfig::default(),
+                observe: false,
             };
             let r = run_scenario(&scenario, &predictor);
             println!(

@@ -23,7 +23,7 @@ fn main() {
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
 
     // The predictor normally comes from a profiling campaign

@@ -46,8 +46,8 @@ pub mod prelude {
     pub use rtds_arm::prelude::*;
     pub use rtds_dynbench::{aaw_task, ProfileData};
     pub use rtds_experiments::{
-        run_scenario, CrashFault, FaultPlan, ObserveConfig, PatternSpec, PolicySpec,
-        ScenarioConfig, ScenarioResult,
+        run_scenario, CrashFault, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig,
+        ScenarioResult,
     };
     pub use rtds_regression::{
         BufferDelayModel, CommDelayModel, ExecLatencyModel, LatencySample,

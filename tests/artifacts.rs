@@ -76,7 +76,7 @@ fn run_metrics_survive_serde_round_trip() {
         online_refinement: false,
         failures: vec![(5, 8)],
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let r = run_scenario(&scenario, &quick_predictor());
     let json = serde_json::to_string(&r.metrics).expect("serialize");
@@ -111,7 +111,7 @@ fn latency_distribution_round_trips_and_orders() {
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let r = run_scenario(&scenario, &quick_predictor());
     let d = r.metrics.latency_distribution().expect("completions");

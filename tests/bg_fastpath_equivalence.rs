@@ -9,7 +9,7 @@
 
 use rtds::experiments::models::quick_predictor;
 use rtds::experiments::scenario::{
-    run_scenario, run_scenario_reference, CrashFault, FaultPlan, ObserveConfig, PatternSpec,
+    run_scenario, run_scenario_reference, CrashFault, FaultPlan, PatternSpec,
     PolicySpec, ScenarioConfig, ScenarioResult,
 };
 use rtds::workloads::WorkloadRange;
@@ -32,7 +32,7 @@ fn scenario(
         online_refinement: false,
         failures,
         faults,
-        observe: ObserveConfig::full(),
+        observe: true,
     }
 }
 

@@ -19,7 +19,7 @@ fn quick_scenario(policy: PolicySpec, max_tracks: u64, seed: u64) -> ScenarioCon
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     }
 }
 
@@ -202,7 +202,7 @@ fn workload_patterns_feed_the_scenario_exactly() {
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let r = run_scenario(&scenario, &p);
     let tracks: Vec<u64> = r.metrics.periods.iter().map(|x| x.tracks).collect();

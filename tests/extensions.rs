@@ -131,7 +131,7 @@ fn incremental_policy_adapts_one_replica_at_a_time() {
         online_refinement: false,
         failures: Vec::new(),
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let r = run_scenario(&scenario, &p);
     assert_eq!(r.policy, "incremental");
@@ -180,7 +180,7 @@ fn online_refinement_recovers_a_bad_prior() {
             online_refinement: refine,
             failures: Vec::new(),
             faults: FaultPlan::default(),
-            observe: ObserveConfig::default(),
+            observe: false,
         };
         run_scenario(&scenario, predictor)
     };
@@ -244,7 +244,7 @@ fn failures_via_scenario_config_reach_the_cluster() {
         online_refinement: false,
         failures: vec![(4, 15)], // EvalDecide home dies at t = 15 s
         faults: FaultPlan::default(),
-        observe: ObserveConfig::default(),
+        observe: false,
     };
     let failed = run_scenario(&cfg, &p);
     cfg.failures.clear();

@@ -80,16 +80,13 @@ fn home_node_failure_fails_inflight_then_recovers() {
     // Trace contains the failure and a placement repair.
     let trace = out.trace.expect("tracing enabled");
     assert!(trace
-        .filtered(|e| matches!(e, TraceEvent::NodeFailed { node } if node.index() == FILTER_STAGE))
-        .next()
-        .is_some());
+        .events()
+        .iter()
+        .any(|(_, e)| matches!(e, TraceEvent::NodeFailed { node } if node.index() == FILTER_STAGE)));
     assert!(
-        trace
-            .filtered(|e| matches!(e, TraceEvent::Placement { stage, nodes }
-                if stage.subtask.index() == FILTER_STAGE
-                   && !nodes.iter().any(|n| n.index() == FILTER_STAGE)))
-            .next()
-            .is_some(),
+        trace.events().iter().any(|(_, e)| matches!(e, TraceEvent::Placement { stage, nodes }
+            if stage.subtask.index() == FILTER_STAGE
+               && !nodes.iter().any(|n| n.index() == FILTER_STAGE))),
         "manager must re-place Filter off the dead node"
     );
 }
@@ -182,9 +179,9 @@ fn crash_during_transmission_does_not_panic_and_counts_losses() {
     let trace = out.trace.expect("tracing enabled");
     assert!(
         trace
-            .filtered(|e| matches!(e, TraceEvent::MessageLost { .. }))
-            .next()
-            .is_some(),
+            .events()
+            .iter()
+            .any(|(_, e)| matches!(e, TraceEvent::MessageLost { .. })),
         "lost messages are traced"
     );
     // p0 hosts the non-replicable Sensor stage: everything after the
@@ -211,7 +208,9 @@ fn messages_to_dead_nodes_count_as_lost() {
     );
     let trace = out.trace.expect("tracing enabled");
     let lost_to_dead = trace
-        .filtered(|e| matches!(e, TraceEvent::MessageLost { dst, .. }
+        .events()
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::MessageLost { dst, .. }
             if dst.index() == FILTER_STAGE))
         .count();
     assert!(lost_to_dead >= 5, "losses name the dead destination: {lost_to_dead}");
@@ -234,7 +233,9 @@ fn crash_restart_rejoins_and_manager_reuses_the_node() {
     let trace = out.trace.expect("tracing enabled");
     assert_eq!(
         trace
-            .filtered(|e| matches!(e, TraceEvent::NodeRestarted { node }
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::NodeRestarted { node }
                 if node.index() == FILTER_STAGE))
             .count(),
         1

@@ -16,7 +16,7 @@ use rtds::experiments::figures::{FigureOptions, FigureOutput};
 use rtds::experiments::models::quick_predictor;
 use rtds::experiments::report::Table;
 use rtds::experiments::scenario::{
-    run_scenario, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig,
+    run_scenario, PatternSpec, PolicySpec, ScenarioConfig,
 };
 use rtds::experiments::sweep::{run_sweep, SweepConfig};
 
@@ -120,7 +120,7 @@ fn produce_manager_report() -> String {
     );
     cfg.n_periods = 40;
     cfg.failures = vec![(4, 20)];
-    cfg.observe = ObserveConfig::full();
+    cfg.observe = true;
     let r = run_scenario(&cfg, &quick_predictor());
     let jsonl = rtds::experiments::decisions_jsonl(&r.decisions);
     for arm in ["Repair", "Replicate", "NoOp"] {

@@ -13,7 +13,7 @@ use rtds::experiments::export::{chrome_trace, decisions_jsonl, validate_chrome_t
 use rtds::experiments::models::quick_predictor;
 use rtds::experiments::report::Table;
 use rtds::experiments::scenario::{
-    run_scenario, ObserveConfig, PatternSpec, PolicySpec, ScenarioConfig, ScenarioResult,
+    run_scenario, PatternSpec, PolicySpec, ScenarioConfig, ScenarioResult,
 };
 use rtds::experiments::sweep::{run_sweep, SweepConfig};
 use rtds::sim::metrics::ResidualKind;
@@ -26,7 +26,7 @@ fn observed(policy: PolicySpec) -> ScenarioResult {
         14_000,
     );
     cfg.n_periods = 40;
-    cfg.observe = ObserveConfig::full();
+    cfg.observe = true;
     run_scenario(&cfg, &quick_predictor())
 }
 
@@ -40,7 +40,7 @@ fn observed_sweep_is_byte_identical_to_golden() {
     cfg.units = vec![4, 16, 28];
     cfg.n_periods = 40;
     cfg.threads = 1;
-    cfg.observe = ObserveConfig::full();
+    cfg.observe = true;
     let points = run_sweep(&cfg, &quick_predictor());
     let mut t = Table::new(vec![
         "units",
