@@ -130,10 +130,8 @@ mod tests {
 
     #[test]
     fn retaining_sink_keeps_accepted_events_past_capacity() {
-        // Regression: a full trace used to drop the *newest* events
-        // unconditionally, so end-of-run failures — exactly what
-        // post-mortems need — vanished first. Here odd numbers stand in
-        // for failure-class events.
+        // Odd numbers stand in for failure-class events: ones recorded
+        // after routine events filled the buffer must still be kept.
         let mut s: BoundedSink<u32> = BoundedSink::retaining(2, |e| e % 2 == 1);
         for e in [0, 2, 4, 6, 1, 3, 8, 5, 10] {
             s.record(SimTime::from_millis(u64::from(e)), e);
