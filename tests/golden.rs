@@ -88,6 +88,41 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Every workload pattern family, evaluated over periods `0..600` on two
+/// ranges, plus a random walk queried out of order (period 450 first,
+/// then sequentially), hashed as little-endian `u64`s. Pins each series
+/// exactly; run outcomes only pin the patterns through the simulator.
+#[test]
+fn every_pattern_series_matches_its_digest() {
+    use rtds::experiments::PatternSpec;
+    use rtds::workloads::WorkloadRange;
+
+    let specs = [
+        PatternSpec::Increasing { ramp_periods: 239 },
+        PatternSpec::Decreasing { ramp_periods: 97 },
+        PatternSpec::Triangular { half_period: 30 },
+        PatternSpec::Step { low: 7, high: 13 },
+        PatternSpec::Burst { every: 25, width: 4 },
+        PatternSpec::Sinusoid { wavelength: 80 },
+        PatternSpec::RandomWalk { max_step: 400, seed: 0x5EED },
+    ];
+    let mut bytes = Vec::new();
+    for range in [WorkloadRange::new(500, 17_500), WorkloadRange::new(100, 1_000)] {
+        for spec in specs {
+            let mut pattern = spec.build(range);
+            for period in 0..600 {
+                bytes.extend_from_slice(&pattern.tracks_at(period).to_le_bytes());
+            }
+        }
+        let mut walk = PatternSpec::RandomWalk { max_step: 250, seed: 7 }.build(range);
+        bytes.extend_from_slice(&walk.tracks_at(450).to_le_bytes());
+        for period in 0..600 {
+            bytes.extend_from_slice(&walk.tracks_at(period).to_le_bytes());
+        }
+    }
+    assert_eq!(fnv1a64(&bytes), 0x15c3_0395_7c73_0d85, "a workload pattern's series changed");
+}
+
 /// One extension figure per manager-loop feature, plus the decision
 /// stream of an observed predictive run with a node failure, so the
 /// order in which the loop emits repair, replicate and no-op records is
