@@ -12,11 +12,12 @@ use rtds_bench::bench_predictor;
 use rtds_dynbench::app::aaw_task;
 use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
 use rtds_sim::time::SimDuration;
-use rtds_workloads::{Pattern, Triangular, WorkloadRange};
+use rtds_workloads::{PatternSpec, WorkloadRange};
 
 fn run_with(cfg: ArmConfig) -> f64 {
     let mut cluster = Cluster::new(ClusterConfig::paper_baseline(7, SimDuration::from_secs(30)));
-    let mut pattern = Triangular::new(WorkloadRange::new(500, 12_000), 8);
+    let mut pattern =
+        PatternSpec::Triangular { half_period: 8 }.build(WorkloadRange::new(500, 12_000));
     cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
     cluster.set_controller(Box::new(ResourceManager::new(cfg, bench_predictor())));
     let out = cluster.run();

@@ -20,7 +20,7 @@ use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
 use rtds_sim::time::SimDuration;
-use rtds_workloads::{Pattern, Triangular, WorkloadRange};
+use rtds_workloads::{PatternSpec, WorkloadRange};
 
 use super::{FigureOptions, FigureOutput};
 use crate::report::{fmt_f, Table};
@@ -31,7 +31,8 @@ fn run_variant(cfg: ArmConfig, opts: &FigureOptions) -> rtds_sim::metrics::RunSu
         0xAB1A7E,
         SimDuration::from_secs(n_periods),
     ));
-    let mut pattern = Triangular::new(WorkloadRange::new(500, 13_000), n_periods / 8);
+    let mut pattern = PatternSpec::Triangular { half_period: n_periods / 8 }
+        .build(WorkloadRange::new(500, 13_000));
     cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
     for n in 0..6 {
         cluster.add_load(Box::new(PoissonLoad::with_utilization(

@@ -27,7 +27,7 @@ use rtds_sim::ids::{LoadGenId, NodeId, TaskId};
 use rtds_sim::load::PoissonLoad;
 use rtds_sim::sched::SchedulerKind;
 use rtds_sim::time::SimDuration;
-use rtds_workloads::{Pattern, Triangular, WorkloadRange};
+use rtds_workloads::WorkloadRange;
 
 use super::{FigureOptions, FigureOutput};
 use crate::models::LINK_BPS;
@@ -113,10 +113,11 @@ pub fn ext_multitask(opts: &FigureOptions) -> FigureOutput {
         ));
         let aaw = aaw_task();
         let surv = surveillance_task(TaskId(1));
-        let mut p1 = Triangular::new(WorkloadRange::new(500, 11_000), n_periods / 8);
-        // Offset phase: the surveillance load peaks when AAW is quiet.
-        let mut p2 = Triangular::new(WorkloadRange::new(500, 9_000), n_periods / 8);
         let half = n_periods / 8;
+        let tri = PatternSpec::Triangular { half_period: half };
+        let mut p1 = tri.build(WorkloadRange::new(500, 11_000));
+        // Offset phase: the surveillance load peaks when AAW is quiet.
+        let mut p2 = tri.build(WorkloadRange::new(500, 9_000));
         cluster.add_task(aaw.clone(), Box::new(move |i| p1.tracks_at(i)));
         cluster.add_task(surv.clone(), Box::new(move |i| p2.tracks_at(i + half)));
         for nd in 0..6 {
@@ -288,11 +289,11 @@ pub fn ext_schedulers(opts: &FigureOptions) -> FigureOutput {
 pub fn ext_patterns(opts: &FigureOptions) -> FigureOutput {
     let predictor = opts.predictor();
     let n = if opts.quick { 40 } else { 160 };
-    let patterns: Vec<(&str, PatternSpec)> = vec![
-        ("step", PatternSpec::Step { low: n / 16, high: n / 16 }),
-        ("burst", PatternSpec::Burst { every: n / 8, width: n / 32 + 1 }),
-        ("sinusoid", PatternSpec::Sinusoid { wavelength: n / 4 }),
-        ("random-walk", PatternSpec::RandomWalk { max_step: 900, seed: 7 }),
+    let patterns = [
+        PatternSpec::Step { low: n / 16, high: n / 16 },
+        PatternSpec::Burst { every: n / 8, width: n / 32 + 1 },
+        PatternSpec::Sinusoid { wavelength: n / 4 },
+        PatternSpec::RandomWalk { max_step: 900, seed: 7 },
     ];
     let mut table = Table::new(vec![
         "pattern",
@@ -301,13 +302,13 @@ pub fn ext_patterns(opts: &FigureOptions) -> FigureOutput {
         "avg_replicas",
         "combined",
     ]);
-    for (name, pattern) in &patterns {
+    for pattern in patterns {
         for policy in [PolicySpec::Predictive, PolicySpec::NonPredictive] {
             let mut cfg = base_scenario(opts, policy, 13_000);
-            cfg.pattern = *pattern;
+            cfg.pattern = pattern;
             let r = run_scenario(&cfg, &predictor);
             table.row(vec![
-                name.to_string(),
+                pattern.name().to_string(),
                 policy.name().to_string(),
                 fmt_f(r.summary.missed_deadline_pct),
                 fmt_f(r.summary.avg_replicas),
@@ -357,11 +358,8 @@ pub fn ext_control_latency(opts: &FigureOptions) -> FigureOutput {
             // control far harder than the paper's ramps (whose per-period
             // deltas a per-period loop absorbs without misses).
             let phase = (n / 16).max(2);
-            let mut pattern = rtds_workloads::Step::new(
-                WorkloadRange::new(500, 15_000),
-                phase,
-                phase,
-            );
+            let mut pattern = PatternSpec::Step { low: phase, high: phase }
+                .build(WorkloadRange::new(500, 15_000));
             cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
             for nd in 0..6 {
                 cluster.add_load(Box::new(PoissonLoad::with_utilization(
@@ -471,7 +469,8 @@ pub fn ext_asynchrony(opts: &FigureOptions) -> FigureOutput {
             ccfg.release_jitter_us = jitter_us;
             ccfg.clock = clock;
             let mut cluster = Cluster::new(ccfg);
-            let mut pattern = Triangular::new(WorkloadRange::new(500, 13_000), n / 8);
+            let mut pattern = PatternSpec::Triangular { half_period: n / 8 }
+                .build(WorkloadRange::new(500, 13_000));
             cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
             for nd in 0..6 {
                 cluster.add_load(Box::new(PoissonLoad::with_utilization(
@@ -675,18 +674,14 @@ pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
             0xDEC0u64,
             SimDuration::from_secs(n),
         ));
-        let workload: Box<dyn FnMut(u64) -> u64 + Send> = if square {
-            let mut p = rtds_workloads::Step::new(
-                WorkloadRange::new(500, 15_500),
-                (n / 16).max(2),
-                (n / 16).max(2),
-            );
-            Box::new(move |i| p.tracks_at(i))
+        let (spec, max) = if square {
+            let phase = (n / 16).max(2);
+            (PatternSpec::Step { low: phase, high: phase }, 15_500)
         } else {
-            let mut p = Triangular::new(WorkloadRange::new(500, 13_000), n / 8);
-            Box::new(move |i| p.tracks_at(i))
+            (PatternSpec::Triangular { half_period: n / 8 }, 13_000)
         };
-        cluster.add_task(aaw_task(), workload);
+        let mut pattern = spec.build(WorkloadRange::new(500, max));
+        cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
         for nd in 0..6 {
             cluster.add_load(Box::new(PoissonLoad::with_utilization(
                 LoadGenId(nd),

@@ -1,6 +1,6 @@
 //! Figure 8: the evaluation workload patterns.
 
-use rtds_workloads::{DecreasingRamp, IncreasingRamp, Pattern, Triangular, WorkloadRange};
+use rtds_workloads::{PatternSpec, WorkloadRange};
 
 use super::{FigureOptions, FigureOutput};
 use crate::report::{ascii_chart, Series, Table};
@@ -10,11 +10,12 @@ pub fn fig8(opts: &FigureOptions) -> FigureOutput {
     let n: u64 = if opts.quick { 60 } else { 240 };
     let range = WorkloadRange::new(500, 10_000);
     let half = n / 8;
-    let mut patterns: Vec<Box<dyn Pattern>> = vec![
-        Box::new(IncreasingRamp::new(range, n - 1)),
-        Box::new(DecreasingRamp::new(range, n - 1)),
-        Box::new(Triangular::new(range, half)),
-    ];
+    let mut patterns = [
+        PatternSpec::Increasing { ramp_periods: n - 1 },
+        PatternSpec::Decreasing { ramp_periods: n - 1 },
+        PatternSpec::Triangular { half_period: half },
+    ]
+    .map(|spec| spec.build(range));
 
     let mut table = Table::new(vec![
         "period",

@@ -3,18 +3,20 @@
 //! The paper evaluates the algorithms under three workload patterns
 //! (Fig. 8): an **increasing ramp**, a **decreasing ramp**, and a
 //! **triangular** pattern, each defined by a minimum and maximum workload
-//! over a run of periods. This crate provides those three plus a family of
-//! extensions (step, burst, sinusoid, bounded random walk) used by the
+//! over a run of periods. [`PatternSpec`] names those three plus a family
+//! of extensions (step, burst, sinusoid, bounded random walk) used by the
 //! extension experiments.
 //!
-//! A pattern maps a period index to the number of data items (`tracks`)
-//! arriving that period. Patterns are deterministic given their parameters
-//! (and seed, where applicable); [`Pattern::tracks_at`] takes `&mut self`
-//! only so that stateful patterns (the random walk) can memoize.
+//! [`PatternSpec::build`] instantiates a spec over a [`WorkloadRange`] as
+//! a [`Pattern`], which maps a period index to the number of data items
+//! (`tracks`) arriving that period. Patterns are deterministic given their
+//! parameters (and seed, where applicable); [`Pattern::tracks_at`] takes
+//! `&mut self` only so that the random walk can memoize.
 //!
 //! ```
-//! use rtds_workloads::{Pattern, Triangular, WorkloadRange};
-//! let mut tri = Triangular::new(WorkloadRange::new(500, 10_500), 50);
+//! use rtds_workloads::{PatternSpec, WorkloadRange};
+//! let mut tri = PatternSpec::Triangular { half_period: 50 }
+//!     .build(WorkloadRange::new(500, 10_500));
 //! assert_eq!(tri.tracks_at(0), 500);
 //! assert_eq!(tri.tracks_at(50), 10_500);
 //! assert_eq!(tri.tracks_at(100), 500);
@@ -22,15 +24,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-/// A deterministic per-period workload source.
-pub trait Pattern: Send {
-    /// Number of tracks arriving in period `period` (0-based).
-    fn tracks_at(&mut self, period: u64) -> u64;
-
-    /// Pattern family name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// Workload interval shared by the paper's patterns: minimum and maximum
 /// tracks per period.
@@ -60,240 +53,184 @@ impl WorkloadRange {
     }
 }
 
-/// Constant workload.
-#[derive(Debug, Clone, Copy)]
-pub struct Constant(pub u64);
-
-impl Pattern for Constant {
-    fn tracks_at(&mut self, _period: u64) -> u64 {
-        self.0
-    }
-    fn name(&self) -> &'static str {
-        "constant"
-    }
+/// Which workload pattern drives a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(serde::Serialize, serde::Deserialize)]
+pub enum PatternSpec {
+    /// Paper Fig. 8, increasing ramp: "starts with the minimum workload
+    /// and gradually increases the workload until it reaches the maximum",
+    /// then holds at the maximum.
+    Increasing {
+        /// Periods to go min → max.
+        ramp_periods: u64,
+    },
+    /// Paper Fig. 8, decreasing ramp: maximum down to minimum, then holds
+    /// at the minimum.
+    Decreasing {
+        /// Periods to go max → min.
+        ramp_periods: u64,
+    },
+    /// Paper Fig. 8, triangular: "alternates between workload increases
+    /// and decreases" — a symmetric sawtooth starting at the minimum.
+    Triangular {
+        /// Periods per leg.
+        half_period: u64,
+    },
+    /// Extension: square wave alternating the minimum and the maximum —
+    /// the harshest test of adaptation speed.
+    Step {
+        /// Periods at the minimum.
+        low: u64,
+        /// Periods at the maximum.
+        high: u64,
+    },
+    /// Extension: baseline workload with bursts to the maximum, each
+    /// opening its cycle.
+    Burst {
+        /// Cycle length.
+        every: u64,
+        /// Burst width.
+        width: u64,
+    },
+    /// Extension: sinusoid between the range bounds, starting at the
+    /// minimum — a smooth analogue of the triangular pattern.
+    Sinusoid {
+        /// Wavelength in periods.
+        wavelength: u64,
+    },
+    /// Extension: bounded random walk — starts mid-range and moves by a
+    /// uniform step each period, clamped at the range bounds.
+    RandomWalk {
+        /// Maximum per-period step, tracks.
+        max_step: u64,
+        /// Walk seed.
+        seed: u64,
+    },
 }
 
-/// The paper's increasing-ramp pattern: "starts with the minimum workload
-/// and gradually increases the workload until it reaches the maximum",
-/// over `ramp_periods` periods, then holds at the maximum.
-#[derive(Debug, Clone, Copy)]
-pub struct IncreasingRamp {
-    range: WorkloadRange,
-    ramp_periods: u64,
-}
-
-impl IncreasingRamp {
-    /// Creates the ramp.
+impl PatternSpec {
+    /// Instantiates the pattern over a workload range.
     ///
     /// # Panics
-    /// Panics if `ramp_periods == 0`.
-    pub fn new(range: WorkloadRange, ramp_periods: u64) -> Self {
-        assert!(ramp_periods > 0, "ramp needs at least one period");
-        IncreasingRamp { range, ramp_periods }
+    /// Panics on an empty ramp, leg, phase or wavelength, unless
+    /// `0 < width < every` for a burst, and on a zero walk step or a
+    /// single-point walk range.
+    pub fn build(self, range: WorkloadRange) -> Pattern {
+        let (mut state, mut memo) = (0, Vec::new());
+        match self {
+            PatternSpec::Increasing { ramp_periods } | PatternSpec::Decreasing { ramp_periods } => {
+                assert!(ramp_periods > 0, "ramp needs at least one period");
+            }
+            PatternSpec::Triangular { half_period } => {
+                assert!(half_period > 0, "triangle needs a positive half-period");
+            }
+            PatternSpec::Step { low, high } => {
+                assert!(low > 0 && high > 0, "phases must be non-empty");
+            }
+            PatternSpec::Burst { every, width } => {
+                assert!(width > 0 && width < every, "need 0 < width < every");
+            }
+            PatternSpec::Sinusoid { wavelength } => {
+                assert!(wavelength > 0, "wavelength must be positive");
+            }
+            PatternSpec::RandomWalk { max_step, seed } => {
+                assert!(max_step > 0, "walk needs a positive step");
+                assert!(range.min < range.max, "walk needs a non-degenerate range");
+                state = seed | 1; // xorshift state must be nonzero
+                memo.push((range.min + range.max) / 2);
+            }
+        }
+        Pattern { spec: self, range, state, memo }
     }
-}
 
-impl Pattern for IncreasingRamp {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        self.range
-            .lerp(period.min(self.ramp_periods) as f64 / self.ramp_periods as f64)
-    }
-    fn name(&self) -> &'static str {
-        "increasing-ramp"
-    }
-}
-
-/// The paper's decreasing-ramp pattern: maximum down to minimum, then
-/// holds at the minimum.
-#[derive(Debug, Clone, Copy)]
-pub struct DecreasingRamp {
-    range: WorkloadRange,
-    ramp_periods: u64,
-}
-
-impl DecreasingRamp {
-    /// Creates the ramp.
-    ///
-    /// # Panics
-    /// Panics if `ramp_periods == 0`.
-    pub fn new(range: WorkloadRange, ramp_periods: u64) -> Self {
-        assert!(ramp_periods > 0, "ramp needs at least one period");
-        DecreasingRamp { range, ramp_periods }
-    }
-}
-
-impl Pattern for DecreasingRamp {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        self.range
-            .lerp(1.0 - period.min(self.ramp_periods) as f64 / self.ramp_periods as f64)
-    }
-    fn name(&self) -> &'static str {
-        "decreasing-ramp"
-    }
-}
-
-/// The paper's triangular pattern: "alternates between workload increases
-/// and decreases" — a symmetric sawtooth with `half_period` periods per
-/// leg, starting at the minimum.
-#[derive(Debug, Clone, Copy)]
-pub struct Triangular {
-    range: WorkloadRange,
-    half_period: u64,
-}
-
-impl Triangular {
-    /// Creates the triangular pattern.
-    ///
-    /// # Panics
-    /// Panics if `half_period == 0`.
-    pub fn new(range: WorkloadRange, half_period: u64) -> Self {
-        assert!(half_period > 0, "triangle needs a positive half-period");
-        Triangular { range, half_period }
-    }
-}
-
-impl Pattern for Triangular {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        let cycle = 2 * self.half_period;
-        let pos = period % cycle;
-        let f = if pos <= self.half_period {
-            pos as f64 / self.half_period as f64
-        } else {
-            (cycle - pos) as f64 / self.half_period as f64
-        };
-        self.range.lerp(f)
-    }
-    fn name(&self) -> &'static str {
-        "triangular"
-    }
-}
-
-/// Extension: square wave alternating `low_periods` at the minimum and
-/// `high_periods` at the maximum — the harshest test of adaptation speed.
-#[derive(Debug, Clone, Copy)]
-pub struct Step {
-    range: WorkloadRange,
-    low_periods: u64,
-    high_periods: u64,
-}
-
-impl Step {
-    /// Creates the square wave.
-    ///
-    /// # Panics
-    /// Panics if either phase is empty.
-    pub fn new(range: WorkloadRange, low_periods: u64, high_periods: u64) -> Self {
-        assert!(low_periods > 0 && high_periods > 0, "phases must be non-empty");
-        Step {
-            range,
-            low_periods,
-            high_periods,
+    /// Pattern family name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            PatternSpec::Increasing { .. } => "increasing-ramp",
+            PatternSpec::Decreasing { .. } => "decreasing-ramp",
+            PatternSpec::Triangular { .. } => "triangular",
+            PatternSpec::Step { .. } => "step",
+            PatternSpec::Burst { .. } => "burst",
+            PatternSpec::Sinusoid { .. } => "sinusoid",
+            PatternSpec::RandomWalk { .. } => "random-walk",
         }
     }
 }
 
-impl Pattern for Step {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        let cycle = self.low_periods + self.high_periods;
-        if period % cycle < self.low_periods {
-            self.range.min
-        } else {
-            self.range.max
-        }
-    }
-    fn name(&self) -> &'static str {
-        "step"
-    }
-}
-
-/// Extension: baseline workload with short bursts to the maximum every
-/// `every` periods, lasting `width` periods.
-#[derive(Debug, Clone, Copy)]
-pub struct Burst {
-    range: WorkloadRange,
-    every: u64,
-    width: u64,
-}
-
-impl Burst {
-    /// Creates the burst pattern.
-    ///
-    /// # Panics
-    /// Panics unless `0 < width < every`.
-    pub fn new(range: WorkloadRange, every: u64, width: u64) -> Self {
-        assert!(width > 0 && width < every, "need 0 < width < every");
-        Burst { range, every, width }
-    }
-}
-
-impl Pattern for Burst {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        if period % self.every < self.width {
-            self.range.max
-        } else {
-            self.range.min
-        }
-    }
-    fn name(&self) -> &'static str {
-        "burst"
-    }
-}
-
-/// Extension: sinusoid between the range bounds with the given wavelength
-/// in periods — a smooth analogue of the triangular pattern.
-#[derive(Debug, Clone, Copy)]
-pub struct Sinusoid {
-    range: WorkloadRange,
-    wavelength: u64,
-}
-
-impl Sinusoid {
-    /// Creates the sinusoid.
-    ///
-    /// # Panics
-    /// Panics if `wavelength == 0`.
-    pub fn new(range: WorkloadRange, wavelength: u64) -> Self {
-        assert!(wavelength > 0, "wavelength must be positive");
-        Sinusoid { range, wavelength }
-    }
-}
-
-impl Pattern for Sinusoid {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        let phase = period as f64 / self.wavelength as f64 * core::f64::consts::TAU;
-        // Start at the minimum (like the triangle): use 1 - cos.
-        self.range.lerp((1.0 - phase.cos()) / 2.0)
-    }
-    fn name(&self) -> &'static str {
-        "sinusoid"
-    }
-}
-
-/// Extension: bounded random walk — workload moves by a uniform step each
-/// period, reflected at the range bounds. Deterministic per seed;
-/// memoized so queries are O(1) amortized for sequential access.
+/// A [`PatternSpec`] instantiated over a [`WorkloadRange`]: the
+/// deterministic per-period workload source a task is driven by.
 #[derive(Debug, Clone)]
-pub struct RandomWalk {
+pub struct Pattern {
+    spec: PatternSpec,
     range: WorkloadRange,
-    max_step: u64,
+    /// Random walk only: xorshift64* state.
     state: u64,
+    /// Random walk only: the series so far, so sequential queries are
+    /// O(1) amortized and random access replays the same draws.
     memo: Vec<u64>,
 }
 
-impl RandomWalk {
-    /// Creates the walk starting mid-range.
-    ///
-    /// # Panics
-    /// Panics if `max_step == 0` or the range is a single point.
-    pub fn new(range: WorkloadRange, max_step: u64, seed: u64) -> Self {
-        assert!(max_step > 0, "walk needs a positive step");
-        assert!(range.min < range.max, "walk needs a non-degenerate range");
-        RandomWalk {
-            range,
-            max_step,
-            state: seed | 1, // xorshift state must be nonzero
-            memo: vec![(range.min + range.max) / 2],
+impl Pattern {
+    /// Number of tracks arriving in period `period` (0-based).
+    pub fn tracks_at(&mut self, period: u64) -> u64 {
+        let range = self.range;
+        match self.spec {
+            PatternSpec::Increasing { ramp_periods } => {
+                range.lerp(period.min(ramp_periods) as f64 / ramp_periods as f64)
+            }
+            PatternSpec::Decreasing { ramp_periods } => {
+                range.lerp(1.0 - period.min(ramp_periods) as f64 / ramp_periods as f64)
+            }
+            PatternSpec::Triangular { half_period } => {
+                let cycle = 2 * half_period;
+                let pos = period % cycle;
+                let f = if pos <= half_period {
+                    pos as f64 / half_period as f64
+                } else {
+                    (cycle - pos) as f64 / half_period as f64
+                };
+                range.lerp(f)
+            }
+            PatternSpec::Step { low, high } => {
+                if period % (low + high) < low {
+                    range.min
+                } else {
+                    range.max
+                }
+            }
+            PatternSpec::Burst { every, width } => {
+                if period % every < width {
+                    range.max
+                } else {
+                    range.min
+                }
+            }
+            PatternSpec::Sinusoid { wavelength } => {
+                let phase = period as f64 / wavelength as f64 * core::f64::consts::TAU;
+                // Start at the minimum (like the triangle): use 1 - cos.
+                range.lerp((1.0 - phase.cos()) / 2.0)
+            }
+            PatternSpec::RandomWalk { max_step, .. } => {
+                let idx = usize::try_from(period).expect("period fits usize");
+                while self.memo.len() <= idx {
+                    let prev = *self.memo.last().expect("memo never empty");
+                    let r = self.next_u64();
+                    let step = r % (2 * max_step + 1);
+                    let next = if step <= max_step {
+                        prev.saturating_add(step)
+                    } else {
+                        prev.saturating_sub(step - max_step)
+                    };
+                    self.memo.push(next.clamp(range.min, range.max));
+                }
+                self.memo[idx]
+            }
         }
+    }
+
+    /// Pattern family name for reports.
+    pub fn name(&self) -> &'static str {
+        self.spec.name()
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -307,70 +244,6 @@ impl RandomWalk {
     }
 }
 
-impl Pattern for RandomWalk {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        let idx = usize::try_from(period).expect("period fits usize");
-        while self.memo.len() <= idx {
-            let prev = *self.memo.last().expect("memo never empty");
-            let r = self.next_u64();
-            let step = r % (2 * self.max_step + 1);
-            let next = if step <= self.max_step {
-                prev.saturating_add(step)
-            } else {
-                prev.saturating_sub(step - self.max_step)
-            };
-            self.memo.push(next.clamp(self.range.min, self.range.max));
-        }
-        self.memo[idx]
-    }
-    fn name(&self) -> &'static str {
-        "random-walk"
-    }
-}
-
-/// Extension: plays a sequence of patterns back to back, each for a fixed
-/// number of periods, then repeats — mission phases (patrol, raid,
-/// stand-down) as one pattern.
-pub struct Composite {
-    phases: Vec<(Box<dyn Pattern>, u64)>,
-    cycle: u64,
-}
-
-impl Composite {
-    /// Creates a composite from `(pattern, periods)` phases.
-    ///
-    /// # Panics
-    /// Panics if there are no phases or any phase is empty.
-    pub fn new(phases: Vec<(Box<dyn Pattern>, u64)>) -> Self {
-        assert!(!phases.is_empty(), "composite needs phases");
-        assert!(phases.iter().all(|(_, n)| *n > 0), "phases must be non-empty");
-        let cycle = phases.iter().map(|(_, n)| n).sum();
-        Composite { phases, cycle }
-    }
-}
-
-impl Pattern for Composite {
-    fn tracks_at(&mut self, period: u64) -> u64 {
-        let mut pos = period % self.cycle;
-        for (p, n) in &mut self.phases {
-            if pos < *n {
-                return p.tracks_at(pos);
-            }
-            pos -= *n;
-        }
-        unreachable!("pos < cycle by construction")
-    }
-    fn name(&self) -> &'static str {
-        "composite"
-    }
-}
-
-/// Adapts any pattern into the `FnMut(u64) -> u64` closure the simulator's
-/// `add_task` expects.
-pub fn into_workload_fn<P: Pattern + 'static>(mut p: P) -> Box<dyn FnMut(u64) -> u64 + Send> {
-    Box::new(move |period| p.tracks_at(period))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +252,7 @@ mod tests {
         WorkloadRange::new(500, 10_500)
     }
 
-    fn series<P: Pattern>(p: &mut P, n: u64) -> Vec<u64> {
+    fn series(p: &mut Pattern, n: u64) -> Vec<u64> {
         (0..n).map(|i| p.tracks_at(i)).collect()
     }
 
@@ -400,8 +273,30 @@ mod tests {
     }
 
     #[test]
+    fn every_spec_has_a_stable_name_and_stays_in_range() {
+        let range = WorkloadRange::new(100, 1_000);
+        for (spec, name) in [
+            (PatternSpec::Increasing { ramp_periods: 10 }, "increasing-ramp"),
+            (PatternSpec::Decreasing { ramp_periods: 10 }, "decreasing-ramp"),
+            (PatternSpec::Triangular { half_period: 5 }, "triangular"),
+            (PatternSpec::Step { low: 2, high: 2 }, "step"),
+            (PatternSpec::Burst { every: 5, width: 1 }, "burst"),
+            (PatternSpec::Sinusoid { wavelength: 10 }, "sinusoid"),
+            (PatternSpec::RandomWalk { max_step: 50, seed: 1 }, "random-walk"),
+        ] {
+            let mut p = spec.build(range);
+            assert_eq!(spec.name(), name);
+            assert_eq!(p.name(), name);
+            for i in 0..20 {
+                let v = p.tracks_at(i);
+                assert!((100..=1_000).contains(&v), "{name} out of range: {v}");
+            }
+        }
+    }
+
+    #[test]
     fn increasing_ramp_goes_min_to_max_then_holds() {
-        let mut p = IncreasingRamp::new(range(), 100);
+        let mut p = PatternSpec::Increasing { ramp_periods: 100 }.build(range());
         assert_eq!(p.tracks_at(0), 500);
         assert_eq!(p.tracks_at(100), 10_500);
         assert_eq!(p.tracks_at(250), 10_500, "holds after the ramp");
@@ -411,7 +306,7 @@ mod tests {
 
     #[test]
     fn decreasing_ramp_goes_max_to_min_then_holds() {
-        let mut p = DecreasingRamp::new(range(), 100);
+        let mut p = PatternSpec::Decreasing { ramp_periods: 100 }.build(range());
         assert_eq!(p.tracks_at(0), 10_500);
         assert_eq!(p.tracks_at(100), 500);
         assert_eq!(p.tracks_at(400), 500);
@@ -421,7 +316,7 @@ mod tests {
 
     #[test]
     fn triangular_oscillates_between_bounds() {
-        let mut p = Triangular::new(range(), 50);
+        let mut p = PatternSpec::Triangular { half_period: 50 }.build(range());
         assert_eq!(p.tracks_at(0), 500);
         assert_eq!(p.tracks_at(50), 10_500);
         assert_eq!(p.tracks_at(100), 500);
@@ -432,7 +327,7 @@ mod tests {
 
     #[test]
     fn triangular_covers_full_range_repeatedly() {
-        let mut p = Triangular::new(range(), 30);
+        let mut p = PatternSpec::Triangular { half_period: 30 }.build(range());
         let s = series(&mut p, 300);
         assert_eq!(*s.iter().min().unwrap(), 500);
         assert_eq!(*s.iter().max().unwrap(), 10_500);
@@ -442,7 +337,7 @@ mod tests {
 
     #[test]
     fn step_alternates_phases_with_right_lengths() {
-        let mut p = Step::new(range(), 10, 5);
+        let mut p = PatternSpec::Step { low: 10, high: 5 }.build(range());
         let s = series(&mut p, 30);
         assert!(s[..10].iter().all(|&v| v == 500));
         assert!(s[10..15].iter().all(|&v| v == 10_500));
@@ -451,7 +346,7 @@ mod tests {
 
     #[test]
     fn burst_is_high_only_during_bursts() {
-        let mut p = Burst::new(range(), 20, 3);
+        let mut p = PatternSpec::Burst { every: 20, width: 3 }.build(range());
         let s = series(&mut p, 60);
         let highs = s.iter().filter(|&&v| v == 10_500).count();
         assert_eq!(highs, 9, "3 bursts x 3 periods");
@@ -461,7 +356,7 @@ mod tests {
 
     #[test]
     fn sinusoid_starts_at_min_peaks_mid_wavelength() {
-        let mut p = Sinusoid::new(range(), 100);
+        let mut p = PatternSpec::Sinusoid { wavelength: 100 }.build(range());
         assert_eq!(p.tracks_at(0), 500);
         assert_eq!(p.tracks_at(50), 10_500);
         assert_eq!(p.tracks_at(100), 500);
@@ -469,12 +364,14 @@ mod tests {
         assert!(s.iter().all(|&v| (500..=10_500).contains(&v)));
     }
 
+    fn walk(max_step: u64, seed: u64) -> Pattern {
+        PatternSpec::RandomWalk { max_step, seed }.build(range())
+    }
+
     #[test]
     fn random_walk_is_bounded_and_deterministic() {
-        let mut a = RandomWalk::new(range(), 400, 42);
-        let mut b = RandomWalk::new(range(), 400, 42);
-        let sa = series(&mut a, 500);
-        let sb = series(&mut b, 500);
+        let sa = series(&mut walk(400, 42), 500);
+        let sb = series(&mut walk(400, 42), 500);
         assert_eq!(sa, sb);
         assert!(sa.iter().all(|&v| (500..=10_500).contains(&v)));
         // It actually moves.
@@ -484,65 +381,13 @@ mod tests {
 
     #[test]
     fn random_walk_different_seeds_differ() {
-        let mut a = RandomWalk::new(range(), 400, 2);
-        let mut b = RandomWalk::new(range(), 400, 4);
-        assert_ne!(series(&mut a, 100), series(&mut b, 100));
+        assert_ne!(series(&mut walk(400, 2), 100), series(&mut walk(400, 4), 100));
     }
 
     #[test]
     fn random_walk_supports_random_access() {
-        let mut a = RandomWalk::new(range(), 100, 7);
-        let direct = a.tracks_at(250);
-        let mut b = RandomWalk::new(range(), 100, 7);
-        let sequential = series(&mut b, 251)[250];
+        let direct = walk(100, 7).tracks_at(250);
+        let sequential = series(&mut walk(100, 7), 251)[250];
         assert_eq!(direct, sequential);
-    }
-
-    #[test]
-    fn workload_fn_adapter_matches_pattern() {
-        let mut f = into_workload_fn(Triangular::new(range(), 50));
-        let mut p = Triangular::new(range(), 50);
-        for i in 0..120 {
-            assert_eq!(f(i), p.tracks_at(i));
-        }
-    }
-
-    #[test]
-    fn composite_plays_phases_in_order_and_repeats() {
-        let c = Composite::new(vec![
-            (Box::new(Constant(100)), 3),
-            (Box::new(IncreasingRamp::new(WorkloadRange::new(0, 1000), 4)), 5),
-            (Box::new(Constant(50)), 2),
-        ]);
-        let mut c = c;
-        // Phase 1: constant 100 for 3 periods.
-        assert_eq!(series(&mut c, 3), vec![100, 100, 100]);
-        // Phase 2: ramp (local periods 0..5).
-        assert_eq!(c.tracks_at(3), 0);
-        assert_eq!(c.tracks_at(7), 1000);
-        // Phase 3: constant 50.
-        assert_eq!(c.tracks_at(8), 50);
-        assert_eq!(c.tracks_at(9), 50);
-        // Repeats with cycle 10.
-        assert_eq!(c.tracks_at(10), 100);
-        assert_eq!(c.tracks_at(13), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs phases")]
-    fn empty_composite_panics() {
-        let _ = Composite::new(vec![]);
-    }
-
-    #[test]
-    fn pattern_names_are_stable() {
-        assert_eq!(Constant(5).name(), "constant");
-        assert_eq!(IncreasingRamp::new(range(), 1).name(), "increasing-ramp");
-        assert_eq!(DecreasingRamp::new(range(), 1).name(), "decreasing-ramp");
-        assert_eq!(Triangular::new(range(), 1).name(), "triangular");
-        assert_eq!(Step::new(range(), 1, 1).name(), "step");
-        assert_eq!(Burst::new(range(), 2, 1).name(), "burst");
-        assert_eq!(Sinusoid::new(range(), 1).name(), "sinusoid");
-        assert_eq!(RandomWalk::new(range(), 1, 0).name(), "random-walk");
     }
 }

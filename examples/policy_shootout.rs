@@ -13,11 +13,11 @@ use rtds::prelude::*;
 
 fn main() {
     let n_periods = 120u64;
-    let patterns: Vec<(&str, PatternSpec)> = vec![
-        ("increasing-ramp", PatternSpec::Increasing { ramp_periods: n_periods }),
-        ("decreasing-ramp", PatternSpec::Decreasing { ramp_periods: n_periods }),
-        ("triangular", PatternSpec::Triangular { half_period: 15 }),
-        ("step", PatternSpec::Step { low: 10, high: 10 }),
+    let patterns = [
+        PatternSpec::Increasing { ramp_periods: n_periods },
+        PatternSpec::Decreasing { ramp_periods: n_periods },
+        PatternSpec::Triangular { half_period: 15 },
+        PatternSpec::Step { low: 10, high: 10 },
     ];
     let policies = [
         PolicySpec::None,
@@ -31,10 +31,10 @@ fn main() {
         "pattern", "policy", "miss%", "cpu%", "net%", "replicas", "combined"
     );
     println!("{}", "-".repeat(80));
-    for (name, pattern) in &patterns {
+    for pattern in patterns {
         for policy in policies {
             let scenario = ScenarioConfig {
-                pattern: *pattern,
+                pattern,
                 policy,
                 workload: WorkloadRange::new(500, 14_000),
                 n_periods,
@@ -49,7 +49,7 @@ fn main() {
             let r = run_scenario(&scenario, &predictor);
             println!(
                 "{:<16} {:<15} {:>8.2} {:>8.2} {:>8.2} {:>9.2} {:>9.2}",
-                name,
+                pattern.name(),
                 r.policy,
                 r.summary.missed_deadline_pct,
                 r.summary.avg_cpu_util_pct,

@@ -53,7 +53,5 @@ pub mod prelude {
         BufferDelayModel, CommDelayModel, ExecLatencyModel, LatencySample,
     };
     pub use rtds_sim::prelude::*;
-    pub use rtds_workloads::{
-        DecreasingRamp, IncreasingRamp, Pattern, Triangular, WorkloadRange,
-    };
+    pub use rtds_workloads::{Pattern, WorkloadRange};
 }

@@ -205,11 +205,8 @@ fn act_every_gates_actions_but_not_monitoring() {
             c
         });
         let mut pattern =
-            rtds::workloads::Step::new(rtds::workloads::WorkloadRange::new(500, 14_000), 5, 5);
-        cluster.add_task(
-            aaw_task(),
-            Box::new(move |i| rtds::workloads::Pattern::tracks_at(&mut pattern, i)),
-        );
+            PatternSpec::Step { low: 5, high: 5 }.build(WorkloadRange::new(500, 14_000));
+        cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
         let mut cfg = ArmConfig::paper_predictive();
         cfg.act_every = act_every;
         cluster.set_controller(Box::new(ResourceManager::new(cfg, quick_predictor())));

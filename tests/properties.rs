@@ -189,32 +189,6 @@ fn online_refiner_is_stable_on_random_streams() {
     }
 }
 
-/// Composite patterns stay within the union of their phases' ranges.
-#[test]
-fn composite_pattern_is_bounded() {
-    use rtds::workloads::{Composite, Constant, Pattern, Triangular, WorkloadRange};
-    let mut g = Gen::new(15);
-    for _ in 0..300 {
-        let lens: Vec<u64> = (0..g.usize_in(1, 5)).map(|_| g.u64_in(1, 10)).collect();
-        let period = g.u64_in(0, 200);
-        let phases: Vec<(Box<dyn Pattern>, u64)> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                let p: Box<dyn Pattern> = if i % 2 == 0 {
-                    Box::new(Constant(100 + i as u64))
-                } else {
-                    Box::new(Triangular::new(WorkloadRange::new(50, 500), 3))
-                };
-                (p, n)
-            })
-            .collect();
-        let mut c = Composite::new(phases);
-        let v = c.tracks_at(period);
-        assert!((50..=500).contains(&v) || (100..105).contains(&v), "{v}");
-    }
-}
-
 // ---------------------------------------------------------------
 // Data-stream splitting
 // ---------------------------------------------------------------

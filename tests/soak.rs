@@ -11,7 +11,6 @@ use rtds::arm::manager::ResourceManager;
 use rtds::dynbench::app::aaw_task;
 use rtds::experiments::models::quick_predictor;
 use rtds::prelude::*;
-use rtds::workloads::{Pattern, Triangular};
 
 #[test]
 #[ignore = "long-running soak; run explicitly"]
@@ -19,7 +18,8 @@ fn six_hundred_period_mission_stays_healthy() {
     let mut config = ClusterConfig::paper_baseline(0x50A1u64, SimDuration::from_secs(600));
     config.release_jitter_us = 100_000;
     let mut cluster = Cluster::new(config);
-    let mut pattern = Triangular::new(WorkloadRange::new(500, 14_000), 40);
+    let mut pattern =
+        PatternSpec::Triangular { half_period: 40 }.build(WorkloadRange::new(500, 14_000));
     cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
     for n in 0..6 {
         cluster.add_load(Box::new(PoissonLoad::with_utilization(
