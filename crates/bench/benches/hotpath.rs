@@ -1,7 +1,7 @@
 //! Hot-path benches guarding the simulator-core performance pass:
 //! end-to-end evaluation runs (dispatch chains + scratch buffers), event
-//! queue churn under cancellation (tombstone compaction), batch
-//! scheduling, and the incremental RLS refit.
+//! queue churn under cancellation (tombstone compaction), and the
+//! incremental RLS refit.
 //!
 //! CI runs this in quick mode and compares against the last record of
 //! the checked-in `BENCH_hotpath.json` trajectory (see
@@ -68,22 +68,6 @@ fn bench(c: &mut Criterion) {
             for h in handles.iter().step_by(2) {
                 q.cancel(*h);
             }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc
-        })
-    });
-
-    // Bulk admission: one reserve + heapify pass instead of per-event
-    // sift-ups (the period-release path).
-    g.bench_function("event_queue_batch_schedule_4k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            q.schedule_batch(
-                (0..4_000u64).map(|i| (SimTime::from_micros((i * 104_729) % 200_000 + 100_000), i)),
-            );
             let mut acc = 0u64;
             while let Some((_, v)) = q.pop() {
                 acc = acc.wrapping_add(v);

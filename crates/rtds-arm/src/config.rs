@@ -79,12 +79,6 @@ impl ArmConfig {
         }
     }
 
-    /// Enables online model refinement.
-    pub fn with_online_refinement(mut self) -> Self {
-        self.online_refinement = true;
-        self
-    }
-
     /// The paper's non-predictive configuration (Table 1: UT = 20 %).
     pub fn paper_nonpredictive() -> Self {
         ArmConfig {

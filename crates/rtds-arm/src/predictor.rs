@@ -63,11 +63,6 @@ impl Predictor {
         self.exec[stage] = model;
     }
 
-    /// The communication model.
-    pub fn comm_model(&self) -> &CommDelayModel {
-        &self.comm
-    }
-
     /// Eq. (3): predicted execution latency of `stage` processing `tracks`
     /// data items on a processor at `util_pct` percent utilization.
     pub fn eex(&self, stage: usize, tracks: u64, util_pct: f64) -> SimDuration {

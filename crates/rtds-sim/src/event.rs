@@ -212,21 +212,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules a batch of `(time, event)` pairs, reserving capacity up
-    /// front. Events are sequenced in iteration order, exactly as repeated
-    /// `schedule` calls would be; the handles are discarded, so use this
-    /// for events that are never cancelled individually.
-    pub fn schedule_batch<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let it = items.into_iter();
-        self.reserve(it.size_hint().0);
-        for (at, event) in it {
-            let _ = self.schedule(at, event);
-        }
-    }
-
     /// Cancels a previously scheduled event. Returns true if the handle was
     /// still pending (i.e. not already popped or cancelled).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -277,11 +262,6 @@ impl<E> EventQueue<E> {
             return Some((entry.time, event));
         }
         None
-    }
-
-    /// Time of the earliest pending (non-cancelled) event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
     }
 
     /// `(time, seq)` key of the earliest pending event, if any. The key
@@ -436,12 +416,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
+    fn peek_key_skips_cancelled_head() {
         let mut q = EventQueue::new();
         let h = q.schedule(SimTime::from_micros(5), "x");
         q.schedule(SimTime::from_micros(9), "y");
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_micros(9), 1)));
     }
 
     #[test]
@@ -470,24 +450,6 @@ mod tests {
         let (t, _) = q.pop().unwrap();
         q.schedule(t, 1u32);
         assert_eq!(q.pop(), Some((t, 1u32)));
-    }
-
-    #[test]
-    fn batch_schedule_matches_sequential_scheduling() {
-        let items = |n: u64| (0..n).map(|i| (SimTime::from_micros(1000 - i % 7), i));
-        let mut a = EventQueue::new();
-        a.schedule_batch(items(50));
-        let mut b = EventQueue::new();
-        for (t, e) in items(50) {
-            b.schedule(t, e);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -71,9 +71,6 @@ impl Hasher for FxHasher {
 /// A `HashMap` keyed with the deterministic Fx hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A `HashSet` keyed with the deterministic Fx hasher.
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

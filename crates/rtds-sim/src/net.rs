@@ -73,12 +73,8 @@ impl Message {
 }
 
 /// Configuration of the shared segment.
-///
-/// `Deserialize` is implemented by hand (below) so that configs
-/// serialized before the failure-realism fields existed keep loading:
-/// absent failure knobs fall back to their documented defaults.
 #[derive(Debug, Clone, Copy)]
-#[derive(serde::Serialize)]
+#[derive(serde::Serialize, serde::Deserialize)]
 pub struct BusConfig {
     /// Link speed in bits per second (`ls` in Eq. 6). Paper: 100 Mbps.
     pub bandwidth_bps: f64,
@@ -124,47 +120,6 @@ pub struct BusConfig {
     /// Transmissions *starting* inside an active window run at
     /// `bandwidth_factor` of the configured link speed.
     pub jam: Option<JamWindow>,
-}
-
-fn default_retx_max_retries() -> u32 {
-    3
-}
-
-impl serde::Deserialize for BusConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        // Missing failure-realism keys mean "feature off" (the field
-        // docs' defaults) so pre-failure-realism serialized configs
-        // still deserialize; the original fields stay required.
-        fn opt<T: serde::Deserialize>(
-            m: &serde::Map<String, serde::Value>,
-            field: &str,
-            default: T,
-        ) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_value(v),
-                None => Ok(default),
-            }
-        }
-        let m = serde::expect_object(v, "struct BusConfig")?;
-        Ok(BusConfig {
-            bandwidth_bps: serde::get_field(m, "bandwidth_bps", "BusConfig")?,
-            mtu_bytes: serde::get_field(m, "mtu_bytes", "BusConfig")?,
-            frame_overhead_bytes: serde::get_field(m, "frame_overhead_bytes", "BusConfig")?,
-            per_message_overhead_bytes: serde::get_field(
-                m,
-                "per_message_overhead_bytes",
-                "BusConfig",
-            )?,
-            propagation: serde::get_field(m, "propagation", "BusConfig")?,
-            local_delivery: serde::get_field(m, "local_delivery", "BusConfig")?,
-            max_backoff_us: serde::get_field(m, "max_backoff_us", "BusConfig")?,
-            drop_prob: opt(m, "drop_prob", 0.0)?,
-            dup_prob: opt(m, "dup_prob", 0.0)?,
-            retx_timeout_us: opt(m, "retx_timeout_us", 0)?,
-            retx_max_retries: opt(m, "retx_max_retries", default_retx_max_retries())?,
-            jam: opt(m, "jam", None)?,
-        })
-    }
 }
 
 /// A transient bandwidth-degradation window: between `start_us` and
@@ -251,7 +206,7 @@ impl BusConfig {
             drop_prob: 0.0,
             dup_prob: 0.0,
             retx_timeout_us: 0,
-            retx_max_retries: default_retx_max_retries(),
+            retx_max_retries: 3,
             jam: None,
         }
     }
@@ -310,12 +265,6 @@ impl BusConfig {
             Some(jam) if jam.active_at(at) => base.mul_f64(1.0 / jam.bandwidth_factor),
             _ => base,
         }
-    }
-
-    /// True when any failure-realism feature (loss, duplication,
-    /// retransmission, jamming) is enabled.
-    pub fn has_failure_realism(&self) -> bool {
-        self.drop_prob > 0.0 || self.dup_prob > 0.0 || self.retx_timeout_us > 0 || self.jam.is_some()
     }
 }
 
@@ -639,31 +588,6 @@ mod tests {
 
     fn bus() -> SharedBus {
         SharedBus::new(BusConfig::paper_baseline())
-    }
-
-    #[test]
-    fn pre_failure_realism_config_still_deserializes() {
-        use serde::{Deserialize, Serialize, Value};
-        // A config serialized before the failure-realism fields existed:
-        // strip the new keys from a round-tripped baseline.
-        let full = BusConfig::paper_baseline().to_value();
-        let mut old = serde::Map::new();
-        for (k, v) in full.as_object().expect("object").iter() {
-            let new_field = matches!(
-                k.as_str(),
-                "drop_prob" | "dup_prob" | "retx_timeout_us" | "retx_max_retries" | "jam"
-            );
-            if !new_field {
-                old.insert(k.clone(), v.clone());
-            }
-        }
-        let cfg = BusConfig::from_value(&Value::Object(old)).expect("legacy config must load");
-        assert_eq!(cfg.bandwidth_bps, 100_000_000.0);
-        assert_eq!(cfg.drop_prob, 0.0);
-        assert_eq!(cfg.dup_prob, 0.0);
-        assert_eq!(cfg.retx_timeout_us, 0);
-        assert_eq!(cfg.retx_max_retries, default_retx_max_retries());
-        assert!(cfg.jam.is_none());
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl Node {
     pub fn observed_utilization_pct(&self) -> f64 {
         (self.util_ewma * 100.0).clamp(0.0, 100.0)
     }
-
-    /// True when a job currently holds the CPU.
-    pub fn is_busy(&self) -> bool {
-        self.running.is_some()
-    }
 }
 
 #[cfg(test)]
