@@ -85,6 +85,7 @@ struct StageReading {
 }
 
 /// What the monitor step saw this epoch.
+#[derive(Default)]
 struct Monitored {
     /// Latest reading per stage (`None` for non-replicable stages and
     /// stages without a completed observation).
@@ -135,6 +136,12 @@ pub struct ResourceManager {
     /// Per-stage Eq. (4) forecast residuals; index j grades stage j's
     /// *inbound* message, so index 0 never accumulates.
     comm_residuals: Vec<ForecastResidualStat>,
+    /// Epoch scratch, rebuilt in place every period boundary so a quiet
+    /// epoch allocates nothing: the working copy of the task's placement,
+    /// the monitor's reading, and the utilization view.
+    placements: Vec<Vec<NodeId>>,
+    seen: Monitored,
+    utils: Vec<f64>,
 }
 
 impl ResourceManager {
@@ -169,6 +176,9 @@ impl ResourceManager {
             comm_residuals: (0..n)
                 .map(|j| ForecastResidualStat::new(0, j as u32, ResidualKind::Comm))
                 .collect(),
+            placements: Vec::new(),
+            seen: Monitored::default(),
+            utils: Vec::new(),
         }
     }
 
@@ -305,14 +315,15 @@ impl ResourceManager {
 
     /// Step 3, monitor: feeds every completed instance of the task through
     /// the slack monitor in order; the act step uses the most recent
-    /// reading of each replicable stage.
-    fn monitor(&mut self, completed: &[PeriodObservation], ctx: &ControlContext) -> Monitored {
+    /// reading of each replicable stage, left in `self.seen`.
+    fn monitor(&mut self, completed: &[PeriodObservation], ctx: &ControlContext) {
         let n = self.predictor.n_stages();
-        let mut seen = Monitored {
-            latest: vec![None; n],
-            shutdown_ready: vec![false; n],
-            saw_shed: false,
-        };
+        let seen = &mut self.seen;
+        seen.latest.clear();
+        seen.latest.resize(n, None);
+        seen.shutdown_ready.clear();
+        seen.shutdown_ready.resize(n, false);
+        seen.saw_shed = false;
         let deadlines = self.deadlines.as_ref().expect("deadlines initialized");
         for obs in completed.iter().filter(|o| o.task == self.task) {
             if obs.stages.is_empty() {
@@ -334,7 +345,6 @@ impl ResourceManager {
                 });
             }
         }
-        seen
     }
 
     /// Step 4, act: on an acting cycle, replicates each replicable stage
@@ -343,7 +353,6 @@ impl ResourceManager {
     fn act(
         &mut self,
         ctx: &ControlContext,
-        seen: &Monitored,
         utils: &[f64],
         placements: &mut [Vec<NodeId>],
         actions: &mut Vec<ControlAction>,
@@ -354,20 +363,20 @@ impl ResourceManager {
         }
         let t = self.task.index();
         for j in (0..self.predictor.n_stages()).filter(|&j| ctx.replicable[t][j]) {
-            let reading = seen.latest[j];
+            let reading = self.seen.latest[j];
             let needs = match reading {
                 Some(r) => r.health.needs_replication(),
                 // A shed period under overload gives no per-stage data;
                 // treat every replicable stage as a candidate so the
                 // manager can react at all (every policy equally).
-                None => seen.saw_shed,
+                None => self.seen.saw_shed,
             };
             let (arm, new, alloc) = if needs {
                 let tracks = reading.map_or(ctx.last_tracks[t], |r| r.tracks);
                 let mut alloc = self.audit.is_some().then(AllocAudit::default);
                 let new = self.allocate(j, &placements[j], tracks, utils, ctx, alloc.as_mut());
                 (DecisionArm::Replicate, new, alloc)
-            } else if seen.shutdown_ready[j] && placements[j].len() > 1 {
+            } else if self.seen.shutdown_ready[j] && placements[j].len() > 1 {
                 (DecisionArm::ShutDown, shutdown_a_replica(&placements[j]), None)
             } else if self.audit.is_some() {
                 // Explicit no-op: the stage was examined on an acting
@@ -480,7 +489,8 @@ impl ResourceManager {
     /// (decentralized). Dead nodes read a pessimal `1e6` so no policy
     /// selects them; a cold (restarted, still warming up) node reads the
     /// `u_init_pct` prior, since its near-zero EWMA is a measurement
-    /// artifact, not spare capacity.
+    /// artifact, not spare capacity. The returned vector is `self.utils`'
+    /// buffer; the caller hands it back after the epoch.
     fn utilization_view(&mut self, ctx: &ControlContext) -> Vec<f64> {
         let snapshot = match &mut self.coordination {
             Coordination::Centralized => &ctx.node_util_pct,
@@ -493,11 +503,15 @@ impl ResourceManager {
             }
         };
         let u_init = self.cfg.u_init_pct;
-        snapshot
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| if !ctx.alive[i] { 1e6 } else if ctx.cold[i] { u_init } else { u })
-            .collect()
+        let mut view = std::mem::take(&mut self.utils);
+        view.clear();
+        view.extend(
+            snapshot
+                .iter()
+                .enumerate()
+                .map(|(i, &u)| if !ctx.alive[i] { 1e6 } else if ctx.cold[i] { u_init } else { u }),
+        );
+        view
     }
 
     /// Allocation for one candidate stage: returns its new placement.
@@ -692,22 +706,26 @@ impl Controller for ResourceManager {
         ctx: &ControlContext,
     ) -> Vec<ControlAction> {
         // Own a mutable working copy of this task's placement (the context
-        // shares the runtime's placement behind an Arc).
-        let mut placements = (*ctx.placements[self.task.index()]).clone();
+        // shares the runtime's placement behind an Arc), reusing last
+        // epoch's buffers.
+        let mut placements = std::mem::take(&mut self.placements);
+        placements.clone_from(&ctx.placements[self.task.index()]);
         if self.deadlines.is_none() {
             self.update_deadlines(ctx, &placements);
         }
         let mut actions = Vec::new();
         self.repair(ctx, &mut placements, &mut actions);
         self.score_and_refine(completed, ctx);
-        let seen = self.monitor(completed, ctx);
+        self.monitor(completed, ctx);
         let utils = self.utilization_view(ctx);
-        self.act(ctx, &seen, &utils, &mut placements, &mut actions);
+        self.act(ctx, &utils, &mut placements, &mut actions);
         // §4.1: "At each time a resource management action … is taken, the
         // subtask deadlines are re-assigned."
         if !actions.is_empty() {
             self.update_deadlines(ctx, &placements);
         }
+        self.placements = placements;
+        self.utils = utils;
         actions
     }
 

@@ -30,7 +30,7 @@ use crate::load::LoadGenerator;
 use crate::metrics::{PeriodRecord, RunMetrics};
 use crate::net::BusConfig;
 use crate::perf::{PerfReport, PerfState};
-use crate::pipeline::{InstanceState, TaskSpec};
+use crate::pipeline::TaskSpec;
 use crate::sched::SchedulerKind;
 use crate::sink::BoundedSink;
 use crate::time::{SimDuration, SimTime};
@@ -395,14 +395,13 @@ impl Cluster {
         self.tasks.tasks[task.index()].last_tracks = tracks;
 
         // 3. Admission: shed if too many instances are still in flight.
-        let in_flight = self.tasks.tasks[task.index()].instances.len();
-        let placement = self.tasks.tasks[task.index()].placement.clone();
-        let replicas: Vec<u32> = placement.iter().map(|p| p.len() as u32).collect();
+        let rt = &self.tasks.tasks[task.index()];
+        let in_flight = rt.instances.len();
         let rec = PeriodRecord {
             instance: index,
             released: now,
             tracks,
-            replicas_per_stage: replicas,
+            replicas_per_stage: rt.replica_counts(),
             end_to_end: None,
             missed: None,
             shed: false,
@@ -430,8 +429,7 @@ impl Cluster {
             // 4. Release: instantiate and start the first stage.
             self.kernel
                 .record_trace(now, TraceEvent::Release { instance: index, tracks });
-            let inst = InstanceState::new(index, now, tracks, placement);
-            self.tasks.tasks[task.index()].instances.insert(index, inst);
+            self.tasks.tasks[task.index()].release(index, now, tracks);
             self.tasks.start_stage(
                 &mut self.kernel,
                 &mut self.dispatch,
@@ -495,9 +493,17 @@ impl Cluster {
 
     fn run_controller(&mut self, now: SimTime) {
         // Swap the pending observations out through the retired scratch
-        // buffer: both vectors keep their capacity across control epochs.
+        // buffer: both vectors keep their capacity across control epochs,
+        // and the retired observations' stage lists go back to the task
+        // table for the next completed instances.
         let mut obs = std::mem::take(&mut self.obs_scratch);
-        obs.clear();
+        for o in obs.drain(..) {
+            let mut stages = o.stages;
+            if stages.capacity() > 0 {
+                stages.clear();
+                self.tasks.spare_stage_obs.push(stages);
+            }
+        }
         std::mem::swap(&mut obs, &mut self.tasks.pending_obs);
 
         // Reuse one ControlContext for the whole run. The per-task static
@@ -565,21 +571,19 @@ impl Cluster {
                         continue;
                     }
                     let rt = &mut self.tasks.tasks[task.index()];
-                    let before = rt.placement.get(subtask.index()).cloned();
+                    // An accepted placement is exactly `nodes`, so it changed
+                    // the stage iff it differs from the current one.
+                    let changed = rt.placement.get(subtask.index()) != Some(&nodes);
                     match rt.set_placement(subtask, nodes, self.kernel.config.n_nodes) {
-                        Ok(()) => {
-                            if before.as_deref() != Some(&rt.placement[subtask.index()]) {
-                                self.kernel.metrics.placement_changes += 1;
-                                let new_nodes = rt.placement[subtask.index()].clone();
-                                self.kernel.record_trace(
-                                    now,
-                                    TraceEvent::Placement {
-                                        stage: StageId::new(task, subtask),
-                                        nodes: new_nodes,
-                                    },
-                                );
+                        Ok(()) if changed => {
+                            self.kernel.metrics.placement_changes += 1;
+                            if self.kernel.trace.is_some() {
+                                let nodes = rt.placement[subtask.index()].clone();
+                                let stage = StageId::new(task, subtask);
+                                self.kernel.record_trace(now, TraceEvent::Placement { stage, nodes });
                             }
                         }
+                        Ok(()) => {}
                         Err(_) => self.kernel.metrics.rejected_actions += 1,
                     }
                 }

@@ -109,7 +109,7 @@ impl NetEngine {
             let prog = &mut inst.stages[to.index()];
             prog.started = Some(now);
             for (i, _) in shares.iter().enumerate() {
-                prog.msgs_expected[i % dst_nodes.len()] += 1;
+                prog.replicas[i % dst_nodes.len()].msgs_expected += 1;
             }
             rt.spec.stages[from.index()].output_bytes_per_track
         };
@@ -273,23 +273,20 @@ impl NetEngine {
                 // Instance was finalized early (e.g. at horizon); drop.
                 return;
             };
-            let prog = &mut inst.stages[stage.subtask.index()];
-            let r = replica as usize;
+            let rep = &mut inst.stages[stage.subtask.index()].replicas[replica as usize];
             if self.dedup_enabled {
-                if prog.seen_origins[r].contains(&m.origin) {
+                if rep.seen_origins.contains(&m.origin) {
                     return; // spurious duplicate or redundant retransmit
                 }
-                prog.seen_origins[r].push(m.origin);
+                rep.seen_origins.push(m.origin);
             }
-            prog.msgs_received[r] += 1;
-            prog.tracks_in[r] += tracks;
-            prog.msg_delay[r] = Some(prog.msg_delay[r].map_or(delay, |d| d.max(delay)));
-            if prog.msgs_received[r] < prog.msgs_expected[r] {
+            rep.msgs_received += 1;
+            rep.tracks_in += tracks;
+            rep.msg_delay = Some(rep.msg_delay.map_or(delay, |d| d.max(delay)));
+            if rep.msgs_received < rep.msgs_expected {
                 return; // replica still waiting for more shares
             }
-            rt.spec.stages[stage.subtask.index()]
-                .cost
-                .demand(rt.instances[&instance].stages[stage.subtask.index()].tracks_in[r])
+            rt.spec.stages[stage.subtask.index()].cost.demand(rep.tracks_in)
         };
         dispatch.admit_job(
             k,
@@ -394,7 +391,7 @@ mod tests {
         let mut tasks = TaskTable::default();
         let mut rt = TaskRuntime::new(two_stage_spec());
         let mut inst = InstanceState::new(0, SimTime::ZERO, 100, Arc::clone(&rt.placement));
-        inst.stages[1].msgs_expected[0] = 1;
+        inst.stages[1].replicas[0].msgs_expected = 1;
         rt.instances.insert(0, inst);
         tasks.tasks.push(rt);
         (k, dispatch, net, tasks)
@@ -459,9 +456,9 @@ mod tests {
         net.on_deliver(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(1), msg);
         assert!(net.retx.is_empty(), "delivery retires the retransmit state");
         assert!(net.in_flight.is_empty());
-        let prog = &tasks.tasks[0].instances[&0].stages[1];
-        assert_eq!(prog.msgs_received[0], 1);
-        assert_eq!(prog.seen_origins[0], vec![MsgId(7)], "dedup remembers the origin");
+        let rep = &tasks.tasks[0].instances[&0].stages[1].replicas[0];
+        assert_eq!(rep.msgs_received, 1);
+        assert_eq!(rep.seen_origins, vec![MsgId(7)], "dedup remembers the origin");
         assert!(
             dispatch.nodes[1].running.is_some(),
             "complete input admits and dispatches the stage job"
@@ -509,10 +506,10 @@ mod tests {
         // origin arrives later: dedup swallows it before any accounting.
         let dup = in_flight_copy(&mut net, 8, 7);
         net.on_deliver(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(2), dup);
-        let prog = &tasks.tasks[0].instances[&0].stages[1];
-        assert_eq!(prog.msgs_received[0], 1, "duplicate not double-counted");
-        assert_eq!(prog.tracks_in[0], 100, "tracks accumulated exactly once");
-        assert_eq!(prog.seen_origins[0].len(), 1);
+        let rep = &tasks.tasks[0].instances[&0].stages[1].replicas[0];
+        assert_eq!(rep.msgs_received, 1, "duplicate not double-counted");
+        assert_eq!(rep.tracks_in, 100, "tracks accumulated exactly once");
+        assert_eq!(rep.seen_origins.len(), 1);
     }
 
     #[test]

@@ -31,6 +31,9 @@ pub(crate) struct TaskTable {
     pub workloads: Vec<WorkloadFn>,
     /// Observations completed since the controller last ran.
     pub pending_obs: Vec<PeriodObservation>,
+    /// Emptied `PeriodObservation::stages` lists of observations the
+    /// controller has consumed, reused for the next completed instances.
+    pub spare_stage_obs: Vec<Vec<StageObservation>>,
     /// Map (task, instance) → index into `metrics.periods`.
     pub record_idx: FxHashMap<(TaskId, u64), usize>,
 }
@@ -53,7 +56,9 @@ impl TaskTable {
             .instances
             .get(&instance)
             .is_some_and(|inst| {
-                inst.stages[stage.subtask.index()].seen_origins[replica as usize].contains(&origin)
+                inst.stages[stage.subtask.index()].replicas[replica as usize]
+                    .seen_origins
+                    .contains(&origin)
             })
     }
 
@@ -61,7 +66,8 @@ impl TaskTable {
     /// marked missed, and the controller is told (as a stage-less, missed
     /// observation, like a shed period).
     pub fn fail_instance(&mut self, k: &mut SimKernel, _now: SimTime, task: TaskId, instance: u64) {
-        let Some(inst) = self.tasks[task.index()].instances.remove(&instance) else {
+        let rt = &mut self.tasks[task.index()];
+        let Some(inst) = rt.instances.remove(&instance) else {
             return;
         };
         if let Some(&i) = self.record_idx.get(&(task, instance)) {
@@ -76,6 +82,7 @@ impl TaskTable {
             missed: true,
             stages: Vec::new(),
         });
+        rt.retire(inst);
     }
 
     /// Starts stage `stage` of instance `index`: for the first stage the
@@ -104,10 +111,9 @@ impl TaskTable {
         {
             let prog = &mut inst.stages[stage.index()];
             prog.started = Some(now);
-            prog.tracks_in.clear();
-            prog.tracks_in.extend_from_slice(&shares);
-            for d in prog.msg_delay.iter_mut() {
-                *d = Some(SimDuration::ZERO);
+            for (r, &share) in prog.replicas.iter_mut().zip(shares.iter()) {
+                r.tracks_in = share;
+                r.msg_delay = Some(SimDuration::ZERO);
             }
         }
         let stage_id = StageId::new(task, stage);
@@ -154,9 +160,9 @@ impl TaskTable {
                 return; // instance was failed (node death) while this job ran
             };
             let prog = &mut inst.stages[stage.subtask.index()];
-            prog.exec_latency[replica as usize] = Some(now.since(released));
+            prog.replicas[replica as usize].exec_latency = Some(now.since(released));
             prog.done_replicas += 1;
-            if prog.done_replicas as usize == prog.exec_latency.len() {
+            if prog.done_replicas as usize == prog.replicas.len() {
                 prog.completed = Some(now);
                 true
             } else {
@@ -202,38 +208,32 @@ impl TaskTable {
                 rec.end_to_end = Some(e2e);
                 rec.missed = Some(missed);
             }
+            let mut stages = self.spare_stage_obs.pop().unwrap_or_default();
+            stages.reserve(inst.stages.len());
             for (j, p) in inst.stages.iter().enumerate() {
+                let replicas = inst.placement[j].len() as u32;
+                let exec_latency = p.max_exec_latency().unwrap_or(SimDuration::ZERO);
+                let inbound_msg_delay = p.max_msg_delay().unwrap_or(SimDuration::ZERO);
                 k.metrics.stage_records.push(crate::metrics::StageRecord {
                     task: task.0,
                     instance,
                     stage: j as u32,
-                    replicas: inst.placement[j].len() as u32,
-                    exec_ms: p
-                        .max_exec_latency()
-                        .unwrap_or(SimDuration::ZERO)
-                        .as_millis_f64(),
-                    msg_ms: p
-                        .max_msg_delay()
-                        .unwrap_or(SimDuration::ZERO)
-                        .as_millis_f64(),
+                    replicas,
+                    exec_ms: exec_latency.as_millis_f64(),
+                    msg_ms: inbound_msg_delay.as_millis_f64(),
                 });
-            }
-            let stages = inst
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(j, p)| StageObservation {
+                stages.push(StageObservation {
                     subtask: SubtaskIdx::from_index(j),
-                    replicas: inst.placement[j].len() as u32,
+                    replicas,
                     tracks: inst.tracks,
-                    exec_latency: p.max_exec_latency().unwrap_or(SimDuration::ZERO),
-                    inbound_msg_delay: p.max_msg_delay().unwrap_or(SimDuration::ZERO),
+                    exec_latency,
+                    inbound_msg_delay,
                     stage_latency: match (p.started, p.completed) {
                         (Some(s), Some(c)) => c.since(s),
                         _ => SimDuration::ZERO,
                     },
-                })
-                .collect();
+                });
+            }
             self.pending_obs.push(PeriodObservation {
                 task,
                 instance,
@@ -243,6 +243,7 @@ impl TaskTable {
                 missed,
                 stages,
             });
+            self.tasks[task.index()].retire(inst);
         }
     }
 

@@ -18,8 +18,9 @@
 //! retransmissions are ordinary messages that contend for the medium, so
 //! Eq. (5) buffer delay degrades realistically under loss.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::hashing::FxHashMap;
 use crate::ids::{MsgId, NodeId, StageId};
 use crate::time::{SimDuration, SimTime};
 
@@ -276,7 +277,7 @@ pub struct SharedBus {
     /// Message currently on the wire and when it finishes.
     transmitting: Option<(MsgId, SimTime)>,
     /// All live messages (queued or in flight), by id.
-    messages: HashMap<MsgId, Message>,
+    messages: FxHashMap<MsgId, Message>,
     next_id: u32,
     /// Total time the medium has been busy (completed transmissions).
     busy_accum: SimDuration,
@@ -340,7 +341,7 @@ impl SharedBus {
             config,
             queue: VecDeque::new(),
             transmitting: None,
-            messages: HashMap::new(),
+            messages: FxHashMap::default(),
             next_id: 0,
             busy_accum: SimDuration::ZERO,
             busy_since: None,

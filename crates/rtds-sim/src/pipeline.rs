@@ -155,6 +155,42 @@ pub fn split_tracks_into(tracks: u64, k: usize, out: &mut Vec<u64>) {
     out.extend((0..k).map(|r| base + u64::from(r < rem)));
 }
 
+/// Progress of one replica of a stage within one period instance.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaProgress {
+    /// Inbound messages still expected before the replica's job can start
+    /// (0 for the first stage — fed by the sensor).
+    pub msgs_expected: u32,
+    /// Inbound messages received so far.
+    pub msgs_received: u32,
+    /// Tracks accumulated from received messages (for the first stage, the
+    /// share assigned at release).
+    pub tracks_in: u64,
+    /// Worst observed inbound message delay (buffer + transmission +
+    /// propagation).
+    pub msg_delay: Option<SimDuration>,
+    /// Observed execution latency (job release → completion).
+    pub exec_latency: Option<SimDuration>,
+    /// Origin ids of messages already counted, for suppressing spurious
+    /// duplicates and late retransmissions on a lossy bus. Left empty
+    /// (never pushed to) when the cluster runs without failure realism,
+    /// so clean runs pay nothing.
+    pub seen_origins: Vec<MsgId>,
+}
+
+impl ReplicaProgress {
+    /// Returns to the freshly created state, keeping `seen_origins`'
+    /// capacity.
+    fn reset(&mut self) {
+        let mut seen = std::mem::take(&mut self.seen_origins);
+        seen.clear();
+        *self = ReplicaProgress {
+            seen_origins: seen,
+            ..ReplicaProgress::default()
+        };
+    }
+}
+
 /// Progress of one stage within one period instance.
 ///
 /// Between a predecessor with `k_src` replicas and this stage's `k_dst`
@@ -169,60 +205,51 @@ pub struct StageProgress {
     pub started: Option<SimTime>,
     /// When all replicas finished executing.
     pub completed: Option<SimTime>,
-    /// Per-replica count of inbound messages still expected before the
-    /// replica's job can start (0 for the first stage — fed by the sensor).
-    pub msgs_expected: Vec<u32>,
-    /// Per-replica count of inbound messages received so far.
-    pub msgs_received: Vec<u32>,
-    /// Per-replica tracks accumulated from received messages (for the
-    /// first stage, the share assigned at release).
-    pub tracks_in: Vec<u64>,
-    /// Per-replica worst observed inbound message delay
-    /// (buffer + transmission + propagation).
-    pub msg_delay: Vec<Option<SimDuration>>,
-    /// Per-replica observed execution latency (job release → completion).
-    pub exec_latency: Vec<Option<SimDuration>>,
+    /// Per-replica progress, in placement order.
+    pub replicas: Vec<ReplicaProgress>,
     /// Replicas whose CPU job has completed.
     pub done_replicas: u32,
-    /// Per-replica origin ids of messages already counted, for suppressing
-    /// spurious duplicates and late retransmissions on a lossy bus. Left
-    /// empty (never pushed to) when the cluster runs without failure
-    /// realism, so clean runs pay nothing.
-    pub seen_origins: Vec<Vec<MsgId>>,
 }
 
 impl StageProgress {
     fn new(replicas: usize) -> Self {
-        StageProgress {
+        let mut p = StageProgress {
             started: None,
             completed: None,
-            msgs_expected: vec![0; replicas],
-            msgs_received: vec![0; replicas],
-            tracks_in: vec![0; replicas],
-            msg_delay: vec![None; replicas],
-            exec_latency: vec![None; replicas],
+            replicas: Vec::new(),
             done_replicas: 0,
-            seen_origins: vec![Vec::new(); replicas],
-        }
+        };
+        p.reset(replicas);
+        p
+    }
+
+    /// Returns to the state of `StageProgress::new(replicas)`, keeping the
+    /// capacity of the replica list and of every surviving replica's
+    /// `seen_origins`.
+    fn reset(&mut self, replicas: usize) {
+        self.started = None;
+        self.completed = None;
+        self.done_replicas = 0;
+        self.replicas.truncate(replicas);
+        self.replicas.iter_mut().for_each(ReplicaProgress::reset);
+        self.replicas.resize_with(replicas, ReplicaProgress::default);
     }
 
     /// Worst observed inbound message delay across replicas, if all known.
     pub fn max_msg_delay(&self) -> Option<SimDuration> {
-        self.msg_delay
-            .iter()
-            .copied()
-            .collect::<Option<Vec<_>>>()
-            .map(|v| v.into_iter().max().unwrap_or(SimDuration::ZERO))
+        max_known(self.replicas.iter().map(|r| r.msg_delay))
     }
 
     /// Worst observed execution latency across replicas, if all known.
     pub fn max_exec_latency(&self) -> Option<SimDuration> {
-        self.exec_latency
-            .iter()
-            .copied()
-            .collect::<Option<Vec<_>>>()
-            .map(|v| v.into_iter().max().unwrap_or(SimDuration::ZERO))
+        max_known(self.replicas.iter().map(|r| r.exec_latency))
     }
+}
+
+/// The largest value, `None` if any is unknown, `Some(ZERO)` if there are
+/// none.
+fn max_known(mut values: impl Iterator<Item = Option<SimDuration>>) -> Option<SimDuration> {
+    values.try_fold(SimDuration::ZERO, |m, v| Some(m.max(v?)))
 }
 
 /// One in-flight activation of a periodic task.
@@ -256,16 +283,42 @@ impl InstanceState {
         tracks: u64,
         placement: Arc<Vec<Vec<NodeId>>>,
     ) -> Self {
-        let stages = placement.iter().map(|p| StageProgress::new(p.len())).collect();
-        InstanceState {
+        let mut inst = InstanceState {
             instance,
             released,
             tracks,
-            placement,
-            stages,
+            placement: Arc::clone(&placement),
+            stages: Vec::new(),
             completed: None,
             shed: false,
+        };
+        inst.reset(instance, released, tracks, placement);
+        inst
+    }
+
+    /// Re-initializes a retired instance in place to the state
+    /// [`InstanceState::new`] builds from the same arguments, keeping the
+    /// capacity of its stage, replica and dedup lists.
+    pub fn reset(
+        &mut self,
+        instance: u64,
+        released: SimTime,
+        tracks: u64,
+        placement: Arc<Vec<Vec<NodeId>>>,
+    ) {
+        self.instance = instance;
+        self.released = released;
+        self.tracks = tracks;
+        self.completed = None;
+        self.shed = false;
+        self.stages.truncate(placement.len());
+        for (s, p) in self.stages.iter_mut().zip(placement.iter()) {
+            s.reset(p.len());
         }
+        let have = self.stages.len();
+        self.stages
+            .extend(placement[have..].iter().map(|p| StageProgress::new(p.len())));
+        self.placement = placement;
     }
 
     /// End-to-end latency, once complete.
@@ -299,6 +352,9 @@ pub struct TaskRuntime {
     pub instances: FxHashMap<u64, InstanceState>,
     /// Most recent workload (`ds` of the latest released instance).
     pub last_tracks: u64,
+    /// Completed and failed instances, kept for [`TaskRuntime::release`]
+    /// to re-initialize so a steady-state release allocates nothing.
+    retired: Vec<InstanceState>,
 }
 
 impl TaskRuntime {
@@ -310,7 +366,28 @@ impl TaskRuntime {
             placement,
             instances: FxHashMap::default(),
             last_tracks: 0,
+            retired: Vec::new(),
         }
+    }
+
+    /// Releases instance `instance` on the current placement, recycling a
+    /// retired instance when there is one.
+    pub(crate) fn release(&mut self, instance: u64, released: SimTime, tracks: u64) {
+        let placement = Arc::clone(&self.placement);
+        let inst = match self.retired.pop() {
+            Some(mut inst) => {
+                inst.reset(instance, released, tracks, placement);
+                inst
+            }
+            None => InstanceState::new(instance, released, tracks, placement),
+        };
+        self.instances.insert(instance, inst);
+    }
+
+    /// Hands a completed or failed instance back for reuse by
+    /// [`TaskRuntime::release`].
+    pub(crate) fn retire(&mut self, inst: InstanceState) {
+        self.retired.push(inst);
     }
 
     /// Replica count per stage under the current placement.
@@ -527,11 +604,72 @@ mod tests {
     fn stage_progress_aggregates_worst_replica() {
         let mut p = StageProgress::new(2);
         assert_eq!(p.max_exec_latency(), None);
-        p.exec_latency[0] = Some(SimDuration::from_millis(5));
+        p.replicas[0].exec_latency = Some(SimDuration::from_millis(5));
         assert_eq!(p.max_exec_latency(), None, "one replica still unknown");
-        p.exec_latency[1] = Some(SimDuration::from_millis(9));
+        p.replicas[1].exec_latency = Some(SimDuration::from_millis(9));
         assert_eq!(p.max_exec_latency(), Some(SimDuration::from_millis(9)));
-        p.msg_delay = vec![Some(SimDuration::from_millis(1)), Some(SimDuration::from_millis(3))];
+        p.replicas[0].msg_delay = Some(SimDuration::from_millis(1));
+        p.replicas[1].msg_delay = Some(SimDuration::from_millis(3));
         assert_eq!(p.max_msg_delay(), Some(SimDuration::from_millis(3)));
+        // No replicas: nothing is unknown, and the worst is zero.
+        let empty = StageProgress::new(0);
+        assert_eq!(empty.max_exec_latency(), Some(SimDuration::ZERO));
+        assert_eq!(empty.max_msg_delay(), Some(SimDuration::ZERO));
+    }
+
+    /// An instance that ran with `dirty` placement, with every progress
+    /// field touched.
+    fn dirty_instance(dirty: Vec<Vec<NodeId>>) -> InstanceState {
+        let mut inst = InstanceState::new(7, SimTime::from_secs(7), 900, Arc::new(dirty));
+        for (j, stage) in inst.stages.iter_mut().enumerate() {
+            stage.started = Some(SimTime::from_secs(7));
+            stage.completed = Some(SimTime::from_secs(8));
+            stage.done_replicas = stage.replicas.len() as u32;
+            for (r, rep) in stage.replicas.iter_mut().enumerate() {
+                rep.msgs_expected = 2;
+                rep.msgs_received = 2;
+                rep.tracks_in = 300;
+                rep.msg_delay = Some(SimDuration::from_millis(4));
+                rep.exec_latency = Some(SimDuration::from_millis(40));
+                rep.seen_origins.extend([MsgId(j as u32), MsgId(r as u32 + 10)]);
+            }
+        }
+        inst.completed = Some(SimTime::from_secs(8));
+        inst.shed = true;
+        inst
+    }
+
+    #[test]
+    fn reset_instance_equals_a_new_one() {
+        let three = vec![NodeId(0), NodeId(2), NodeId(3)];
+        let one = vec![NodeId(1)];
+        let wide = vec![vec![NodeId(0)], three.clone(), three.clone()];
+        let narrow = vec![vec![NodeId(0)], one.clone(), one];
+        // 3 replicas shrink to 1, and 1 grows to 3.
+        for (dirty, next) in [(wide.clone(), narrow.clone()), (narrow, wide)] {
+            let next = Arc::new(next);
+            let mut inst = dirty_instance(dirty);
+            inst.reset(12, SimTime::from_secs(12), 450, Arc::clone(&next));
+            let fresh = InstanceState::new(12, SimTime::from_secs(12), 450, next);
+            assert_eq!(format!("{inst:?}"), format!("{fresh:?}"));
+        }
+    }
+
+    #[test]
+    fn release_recycles_retired_instances() {
+        let mut rt = TaskRuntime::new(spec());
+        rt.release(0, SimTime::ZERO, 100);
+        let mut done = rt.instances.remove(&0).unwrap();
+        done.stages[1].replicas[0].seen_origins.push(MsgId(3));
+        let stages = done.stages.as_ptr();
+        rt.retire(done);
+        rt.set_placement(SubtaskIdx(1), vec![NodeId(1), NodeId(3)], 6)
+            .unwrap();
+        rt.release(1, SimTime::from_secs(1), 200);
+        let inst = &rt.instances[&1];
+        assert_eq!(inst.stages.as_ptr(), stages, "the retired stage list is reused");
+        let fresh = InstanceState::new(1, SimTime::from_secs(1), 200, Arc::clone(&rt.placement));
+        assert_eq!(format!("{inst:?}"), format!("{fresh:?}"));
+        assert!(rt.retired.is_empty());
     }
 }
