@@ -32,7 +32,9 @@ use rtds_workloads::WorkloadRange;
 use super::{FigureOptions, FigureOutput};
 use crate::models::LINK_BPS;
 use crate::report::{fmt_f, Table};
-use crate::scenario::{run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
+use crate::scenario::{
+    run_policies, run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig,
+};
 
 fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> ScenarioConfig {
     let n = if opts.quick { 40 } else { 160 };
@@ -64,14 +66,23 @@ pub fn ext_survivability(opts: &FigureOptions) -> FigureOutput {
         "avg_replicas",
         "placements",
     ]);
-    for policy in [PolicySpec::None, PolicySpec::Predictive, PolicySpec::NonPredictive] {
-        for (label, failures) in [
-            ("none", vec![]),
-            ("p5@1/3, p4@2/3", vec![(5u32, n / 3), (4u32, 2 * n / 3)]),
-        ] {
-            let mut cfg = base_scenario(opts, policy, 12_000);
-            cfg.failures = failures;
-            let r = run_scenario(&cfg, &predictor);
+    let policies = [PolicySpec::None, PolicySpec::Predictive, PolicySpec::NonPredictive];
+    let plans = [
+        ("none", vec![]),
+        ("p5@1/3, p4@2/3", vec![(5u32, n / 3), (4u32, 2 * n / 3)]),
+    ];
+    // One group per fault plan; rows stay policy-major.
+    let runs: Vec<_> = plans
+        .iter()
+        .map(|(_, failures)| {
+            let mut cfg = base_scenario(opts, policies[0], 12_000);
+            cfg.failures = failures.clone();
+            run_policies(&cfg, &policies, &predictor)
+        })
+        .collect();
+    for (i, policy) in policies.into_iter().enumerate() {
+        for ((label, _), results) in plans.iter().zip(&runs) {
+            let r = &results[i];
             table.row(vec![
                 policy.name().to_string(),
                 label.to_string(),
@@ -302,14 +313,14 @@ pub fn ext_patterns(opts: &FigureOptions) -> FigureOutput {
         "avg_replicas",
         "combined",
     ]);
+    let policies = [PolicySpec::Predictive, PolicySpec::NonPredictive];
     for pattern in patterns {
-        for policy in [PolicySpec::Predictive, PolicySpec::NonPredictive] {
-            let mut cfg = base_scenario(opts, policy, 13_000);
-            cfg.pattern = pattern;
-            let r = run_scenario(&cfg, &predictor);
+        let mut cfg = base_scenario(opts, policies[0], 13_000);
+        cfg.pattern = pattern;
+        for r in run_policies(&cfg, &policies, &predictor) {
             table.row(vec![
                 pattern.name().to_string(),
-                policy.name().to_string(),
+                r.policy.to_string(),
                 fmt_f(r.summary.missed_deadline_pct),
                 fmt_f(r.summary.avg_replicas),
                 fmt_f(r.breakdown.combined),
@@ -413,16 +424,22 @@ pub fn ext_seed_sensitivity(opts: &FigureOptions) -> FigureOutput {
         "min",
         "max",
     ]);
+    let policies = [PolicySpec::Predictive, PolicySpec::NonPredictive];
     for &u in units {
-        for policy in [PolicySpec::Predictive, PolicySpec::NonPredictive] {
-            let vals: Vec<f64> = seeds
-                .iter()
-                .map(|&s| {
-                    let mut cfg = base_scenario(opts, policy, u * 500);
-                    cfg.seed = s;
-                    run_scenario(&cfg, &predictor).breakdown.combined
-                })
-                .collect();
+        // `combined[s][i]`: seed `s`, policy `i`.
+        let combined: Vec<Vec<f64>> = seeds
+            .iter()
+            .map(|&s| {
+                let mut cfg = base_scenario(opts, policies[0], u * 500);
+                cfg.seed = s;
+                run_policies(&cfg, &policies, &predictor)
+                    .iter()
+                    .map(|r| r.breakdown.combined)
+                    .collect()
+            })
+            .collect();
+        for (i, policy) in policies.into_iter().enumerate() {
+            let vals: Vec<f64> = combined.iter().map(|row| row[i]).collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
             let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -563,12 +580,14 @@ pub fn ext_metric_weights(opts: &FigureOptions) -> FigureOutput {
         "non-predictive",
         "winner",
     ]);
-    let mut p_cfg = base_scenario(opts, PolicySpec::Predictive, 14_000);
-    let mut n_cfg = base_scenario(opts, PolicySpec::NonPredictive, 14_000);
-    p_cfg.n_periods = if opts.quick { 40 } else { 200 };
-    n_cfg.n_periods = p_cfg.n_periods;
-    let p = run_scenario(&p_cfg, &predictor);
-    let n = run_scenario(&n_cfg, &predictor);
+    let mut cfg = base_scenario(opts, PolicySpec::Predictive, 14_000);
+    cfg.n_periods = if opts.quick { 40 } else { 200 };
+    let results = run_policies(
+        &cfg,
+        &[PolicySpec::Predictive, PolicySpec::NonPredictive],
+        &predictor,
+    );
+    let (p, n) = (&results[0], &results[1]);
     for (label, w) in [
         ("equal (paper)", MetricWeights::paper()),
         ("timeliness-dominant (10x misses)", MetricWeights::timeliness_dominant()),
@@ -624,16 +643,16 @@ pub fn ext_forecast_value(opts: &FigureOptions) -> FigureOutput {
         ),
     ] {
         for units in units_list {
-            for policy in [
+            let policies = [
                 PolicySpec::Predictive,
                 PolicySpec::Incremental,
                 PolicySpec::NonPredictive,
-            ] {
-                let mut cfg = base_scenario(opts, policy, units * 500);
-                cfg.pattern = pattern;
-                let r = run_scenario(&cfg, &predictor);
+            ];
+            let mut cfg = base_scenario(opts, policies[0], units * 500);
+            cfg.pattern = pattern;
+            for r in run_policies(&cfg, &policies, &predictor) {
                 table.row(vec![
-                    format!("{pat_label}/{}", policy.name()),
+                    format!("{pat_label}/{}", r.policy),
                     units.to_string(),
                     fmt_f(r.summary.missed_deadline_pct),
                     fmt_f(r.summary.avg_replicas),

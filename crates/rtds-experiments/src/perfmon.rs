@@ -4,9 +4,12 @@
 //! threading a perf flag through every call site would ripple the
 //! scenario API for a purely diagnostic concern. Instead this module
 //! holds one process-global switch plus an aggregate: when enabled,
-//! every [`crate::scenario::run_scenario`] call instruments its cluster
+//! every simulation a scenario runner executes instruments its cluster
 //! and folds the resulting [`PerfReport`] into the aggregate, which the
-//! binary prints at exit.
+//! binary prints at exit. A run that a policy group
+//! ([`crate::scenario::run_policies`]) shares between several policies
+//! counts once, and its control-epoch time and allocations include the
+//! lockstep calls of the policies still in step with the first one.
 //!
 //! The allocation probe is a monotone allocation counter. The library
 //! crates forbid `unsafe`, so the `run_all` binary installs its own

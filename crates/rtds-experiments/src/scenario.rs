@@ -5,7 +5,9 @@
 //! workload pattern ([`PatternSpec`], re-exported from `rtds_workloads`) +
 //! a resource-management policy + ambient background load.
 //! [`run_scenario`] builds the cluster, runs it, and reduces the result to
-//! the four paper metrics plus the combined metric. With
+//! the four paper metrics plus the combined metric; [`run_policies`] does
+//! the same for several policies at once and simulates a run that two
+//! policies would both produce only once. With
 //! [`ScenarioConfig::observe`] set it also hands back the run's event
 //! trace and decision audit, each a bounded in-memory buffer
 //! ([`BoundedSink`]); the metrics are the same either way.
@@ -20,9 +22,12 @@ use rtds_arm::predictor::Predictor;
 use rtds_dynbench::app::{aaw_task, EVAL_DECIDE_STAGE, FILTER_STAGE};
 use rtds_sim::clock::ClockConfig;
 use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
+use rtds_sim::control::{
+    ControlAction, ControlContext, Controller, NullController, PeriodObservation,
+};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
-use rtds_sim::metrics::{RunMetrics, RunSummary};
+use rtds_sim::metrics::{ForecastResidualStat, RunMetrics, RunSummary};
 use rtds_sim::net::JamWindow;
 use rtds_sim::sched::SchedulerKind;
 use rtds_sim::sink::BoundedSink;
@@ -188,7 +193,39 @@ pub fn replicable_stage_indices() -> [usize; 2] {
 /// policies — the non-predictive algorithm uses it only for EQF deadline
 /// estimation, exactly as §4.1 prescribes).
 pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
-    run_scenario_on(cfg, predictor, Cluster::new)
+    run_group_on(cfg, &[cfg.policy], predictor, Cluster::new).lead
+}
+
+/// Runs one scenario under each of `policies` (`cfg.policy` is ignored)
+/// and returns one result per policy, in order, each equal to that
+/// policy's [`run_scenario`].
+///
+/// Every policy sees the same seed and one kernel random stream, so two
+/// policies that take the same actions at every period boundary produce
+/// the same run. The group therefore simulates the first policy once and
+/// asks every other policy's manager, in lockstep, for its actions on the
+/// same observations and context. A policy that matches the first at
+/// every boundary shares that run, keeping its own forecast residuals,
+/// decisions and name; one that ever answers differently is re-run alone
+/// with a fresh manager.
+///
+/// # Panics
+/// Panics if `policies` is empty.
+pub fn run_policies(
+    cfg: &ScenarioConfig,
+    policies: &[PolicySpec],
+    predictor: &Predictor,
+) -> Vec<ScenarioResult> {
+    let GroupRun { lead, shadows } = run_group(cfg, policies, predictor);
+    let rest: Vec<ScenarioResult> = policies[1..]
+        .iter()
+        .zip(shadows)
+        .map(|(&policy, own)| match own {
+            Some(own) => lead.shared_with(policy, own),
+            None => run_group(cfg, &[policy], predictor).lead,
+        })
+        .collect();
+    std::iter::once(lead).chain(rest).collect()
 }
 
 /// Equivalence oracle only: [`run_scenario`] on a
@@ -198,14 +235,141 @@ pub fn run_scenario(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResu
 /// (`tests/bg_fastpath_equivalence.rs`).
 #[doc(hidden)]
 pub fn run_scenario_reference(cfg: &ScenarioConfig, predictor: &Predictor) -> ScenarioResult {
-    run_scenario_on(cfg, predictor, Cluster::reference)
+    run_group_on(cfg, &[cfg.policy], predictor, Cluster::reference).lead
 }
 
-fn run_scenario_on(
+/// What one group simulation settled: the first policy's result and, for
+/// each further policy in order, its own controller outputs if it shared
+/// that run, or `None` if it diverged and needs a run of its own.
+pub(crate) struct GroupRun {
+    pub(crate) lead: ScenarioResult,
+    pub(crate) shadows: Vec<Option<ShadowOutputs>>,
+}
+
+impl GroupRun {
+    /// Whether each policy of the group, in order, got its result from
+    /// this run.
+    pub(crate) fn served(&self) -> impl Iterator<Item = bool> + '_ {
+        std::iter::once(true).chain(self.shadows.iter().map(Option::is_some))
+    }
+}
+
+/// The controller-dependent outputs of a policy that shared the lead's
+/// run: everything else in its result is the lead's.
+pub(crate) struct ShadowOutputs {
+    forecast_residuals: Vec<ForecastResidualStat>,
+    decisions: Vec<(SimTime, DecisionRecord)>,
+}
+
+impl ScenarioResult {
+    /// This result as `policy`'s, which shared the run.
+    fn shared_with(&self, policy: PolicySpec, own: ShadowOutputs) -> ScenarioResult {
+        ScenarioResult {
+            summary: self.summary,
+            breakdown: self.breakdown,
+            metrics: RunMetrics {
+                forecast_residuals: own.forecast_residuals,
+                ..self.metrics.clone()
+            },
+            policy: policy.name(),
+            trace: self.trace.clone(),
+            decisions: own.decisions,
+        }
+    }
+}
+
+type DecisionSink = Arc<Mutex<BoundedSink<DecisionRecord>>>;
+
+/// A fresh controller for `policy` and, when observing, the sink its
+/// decisions go to ([`PolicySpec::None`] makes no decisions).
+fn policy_controller(
     cfg: &ScenarioConfig,
+    policy: PolicySpec,
+    predictor: &Predictor,
+) -> (Box<dyn Controller>, Option<DecisionSink>) {
+    let mut arm = match policy {
+        PolicySpec::Predictive => ArmConfig::paper_predictive(),
+        PolicySpec::NonPredictive => ArmConfig::paper_nonpredictive(),
+        PolicySpec::Incremental => ArmConfig::incremental(),
+        PolicySpec::None => return (Box::new(NullController), None),
+    };
+    arm.online_refinement = cfg.online_refinement;
+    let mut manager = ResourceManager::new(arm, predictor.clone());
+    // The sink is shared: the manager records through one handle; the
+    // group runner drains the other once the manager is dropped.
+    let sink = cfg
+        .observe
+        .then(|| Arc::new(Mutex::new(BoundedSink::bounded(OBSERVE_CAPACITY))));
+    if let Some(sink) = &sink {
+        manager.set_decision_sink(Box::new(Arc::clone(sink)));
+    }
+    (Box::new(manager), sink)
+}
+
+/// The records of a decision sink whose manager has been dropped.
+fn drain(sink: Option<DecisionSink>) -> Vec<(SimTime, DecisionRecord)> {
+    sink.and_then(|sink| Arc::try_unwrap(sink).ok())
+        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).into_events())
+        .unwrap_or_default()
+}
+
+/// A policy that follows the lead until its answer first differs.
+struct Shadow {
+    controller: Box<dyn Controller>,
+    decisions: Option<DecisionSink>,
+    diverged: bool,
+}
+
+/// The controller of a group run: the lead decides, and every shadow
+/// still in step is asked the same question. The shadows sit behind a
+/// shared handle because the cluster consumes its controller.
+struct Lockstep {
+    lead: Box<dyn Controller>,
+    shadows: Arc<Mutex<Vec<Shadow>>>,
+}
+
+impl Controller for Lockstep {
+    fn on_period_boundary(
+        &mut self,
+        completed: &[PeriodObservation],
+        ctx: &ControlContext,
+    ) -> Vec<ControlAction> {
+        let actions = self.lead.on_period_boundary(completed, ctx);
+        let mut shadows = self.shadows.lock().unwrap_or_else(|e| e.into_inner());
+        for s in shadows.iter_mut().filter(|s| !s.diverged) {
+            s.diverged = s.controller.on_period_boundary(completed, ctx) != actions;
+        }
+        actions
+    }
+
+    fn name(&self) -> &'static str {
+        self.lead.name()
+    }
+
+    fn forecast_residuals(&self) -> Vec<ForecastResidualStat> {
+        self.lead.forecast_residuals()
+    }
+}
+
+/// [`run_policies`]' one simulation, on a [`Cluster::new`] cluster.
+pub(crate) fn run_group(
+    cfg: &ScenarioConfig,
+    policies: &[PolicySpec],
+    predictor: &Predictor,
+) -> GroupRun {
+    run_group_on(cfg, policies, predictor, Cluster::new)
+}
+
+/// Builds the scenario's cluster once and runs it under `policies[0]`,
+/// with every further policy in lockstep. A one-policy group installs
+/// its controller directly.
+fn run_group_on(
+    cfg: &ScenarioConfig,
+    policies: &[PolicySpec],
     predictor: &Predictor,
     build: fn(ClusterConfig) -> Cluster,
-) -> ScenarioResult {
+) -> GroupRun {
+    assert!(!policies.is_empty(), "empty policy group");
     assert!(cfg.n_periods > 0, "empty scenario");
     assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
     let horizon = SimDuration::from_secs(cfg.n_periods);
@@ -236,34 +400,19 @@ fn run_scenario_on(
     if cfg.observe {
         cluster.enable_trace(OBSERVE_CAPACITY);
     }
-    // The decision sink is shared: the manager (consumed by the cluster)
-    // records through one handle; this function drains the other after
-    // the run has dropped the manager.
-    let decision_sink = (cfg.observe && cfg.policy != PolicySpec::None)
-        .then(|| Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(OBSERVE_CAPACITY))));
-
-    let arm_config = |mut c: ArmConfig| {
-        c.online_refinement = cfg.online_refinement;
-        c
-    };
-    let manager_for = |c: ArmConfig| {
-        let mut m = ResourceManager::new(arm_config(c), predictor.clone());
-        if let Some(sink) = &decision_sink {
-            m.set_decision_sink(Box::new(Arc::clone(sink)));
-        }
-        m
-    };
-    match cfg.policy {
-        PolicySpec::Predictive => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::paper_predictive())));
-        }
-        PolicySpec::NonPredictive => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::paper_nonpredictive())));
-        }
-        PolicySpec::Incremental => {
-            cluster.set_controller(Box::new(manager_for(ArmConfig::incremental())));
-        }
-        PolicySpec::None => {}
+    let (lead, lead_decisions) = policy_controller(cfg, policies[0], predictor);
+    let shadows: Vec<Shadow> = policies[1..]
+        .iter()
+        .map(|&policy| {
+            let (controller, decisions) = policy_controller(cfg, policy, predictor);
+            Shadow { controller, decisions, diverged: false }
+        })
+        .collect();
+    let shadows = Arc::new(Mutex::new(shadows));
+    if policies.len() == 1 {
+        cluster.set_controller(lead);
+    } else {
+        cluster.set_controller(Box::new(Lockstep { lead, shadows: Arc::clone(&shadows) }));
     }
 
     for &(node, at_s) in &cfg.failures {
@@ -288,27 +437,28 @@ fn run_scenario_on(
         .metrics
         .summarize(&replicable_stage_indices());
     let breakdown = combined_breakdown(&summary, 6);
-    // `run` consumed the cluster and with it the manager, so this is the
-    // last handle to the decision sink.
-    let decisions = decision_sink
-        .map(|sink| {
-            Arc::try_unwrap(sink)
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .into_events()
-                })
-                .unwrap_or_default()
+    // `run` consumed the cluster and with it the lead's controller and the
+    // lockstep wrapper, so the shadows and the lead's sink are ours alone.
+    let shadows = std::mem::take(&mut *shadows.lock().unwrap_or_else(|e| e.into_inner()));
+    let shadows = shadows
+        .into_iter()
+        .map(|s| {
+            (!s.diverged).then(|| {
+                let forecast_residuals = s.controller.forecast_residuals();
+                drop(s.controller);
+                ShadowOutputs { forecast_residuals, decisions: drain(s.decisions) }
+            })
         })
-        .unwrap_or_default();
-    ScenarioResult {
+        .collect();
+    let lead = ScenarioResult {
         summary,
         breakdown,
         metrics: outcome.metrics,
-        policy: cfg.policy.name(),
+        policy: policies[0].name(),
         trace: outcome.trace,
-        decisions,
-    }
+        decisions: drain(lead_decisions),
+    };
+    GroupRun { lead, shadows }
 }
 
 #[cfg(test)]
@@ -370,6 +520,20 @@ mod tests {
             nonp.summary.avg_replicas,
             pred.summary.avg_replicas
         );
+    }
+
+    #[test]
+    fn a_group_shares_a_quiet_run_and_reruns_a_diverging_policy() {
+        let p = quick_predictor();
+        let pair = [PolicySpec::Predictive, PolicySpec::NonPredictive];
+        // Low load: neither policy ever acts, so one run serves both.
+        let quiet = run_group(&quick_cfg(PolicySpec::Predictive, 2_000), &pair, &p);
+        assert_eq!(quiet.served().collect::<Vec<_>>(), [true, true]);
+        assert_eq!(quiet.lead.summary.placement_changes, 0);
+        // High load: the policies replicate differently, so the second
+        // one needs a run of its own.
+        let busy = run_group(&quick_cfg(PolicySpec::Predictive, 14_000), &pair, &p);
+        assert_eq!(busy.served().collect::<Vec<_>>(), [true, false]);
     }
 
     #[test]

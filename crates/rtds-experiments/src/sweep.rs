@@ -2,17 +2,22 @@
 //!
 //! Each figure plots a metric against the experiment's **maximum
 //! workload** in scale units of 500 tracks, one independent simulation per
-//! point per policy. Points are embarrassingly parallel; the sweep fans
-//! them out over `std::thread::scope` workers pulling from an atomic
-//! work index, collects into a mutex-guarded vector, then restores
-//! deterministic order. Thread count never affects results — only
-//! `wall_ms` (measured wall-clock, excluded from golden comparisons)
-//! varies between runs.
+//! point per policy. A unit's policies run as one group
+//! ([`crate::scenario::run_policies`]): they share the seed, so a policy
+//! that acts exactly like the first one at every period boundary shares
+//! its simulation, and only a policy that diverges is simulated again on
+//! its own. Units are embarrassingly parallel; the sweep fans them out over
+//! `std::thread::scope` workers pulling from an atomic work index,
+//! collects into a mutex-guarded vector, then restores deterministic
+//! order. Thread count never affects results — only `wall_ms` (measured
+//! wall-clock, excluded from golden comparisons) varies between runs.
 
 use std::sync::Mutex;
 
 use rtds_arm::predictor::Predictor;
-use crate::scenario::{run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
+use crate::scenario::{
+    run_group, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig, ScenarioResult,
+};
 use rtds_workloads::WorkloadRange;
 
 /// Tracks per scale unit on every figure's x-axis ("1 scale unit = 500
@@ -38,7 +43,9 @@ pub struct SweepPoint {
     pub combined: f64,
     /// Placement changes over the run.
     pub placement_changes: u64,
-    /// Wall-clock time this point's simulation took, in milliseconds.
+    /// Wall-clock time this point's simulation took, in milliseconds. A
+    /// simulation shared by several policies is charged to them in equal
+    /// parts; a policy re-run on its own is charged that run's time.
     /// Non-deterministic by nature: report it, but never fold it into
     /// golden or cross-thread-count comparisons.
     pub wall_ms: f64,
@@ -103,33 +110,28 @@ impl SweepConfig {
 
 /// Runs the sweep. Results are ordered by (unit, policy order as given).
 ///
-/// If any point panics, the sweep stops handing out new work and re-raises
+/// If any unit panics, the sweep stops handing out new work and re-raises
 /// the **first** panic's original payload from the calling thread. (The
 /// naive `.expect("poisoned")` alternative would replace the real failure
 /// message with a generic "a scoped thread panicked" — `std::thread::scope`
 /// swallows spawned-thread payloads — and then panic a second time on the
 /// poisoned results lock, burying the root cause.)
 pub fn run_sweep(cfg: &SweepConfig, predictor: &Predictor) -> Vec<SweepPoint> {
-    run_sweep_with(cfg, |units, policy| run_point(cfg, units, policy, predictor))
+    run_sweep_with(cfg, |units| run_unit(cfg, units, predictor))
 }
 
-/// Sweep engine, parameterized over the per-point runner so tests can
-/// inject failures.
+/// Sweep engine, parameterized over the per-unit runner (one point per
+/// policy, in order) so tests can inject failures.
 fn run_sweep_with<F>(cfg: &SweepConfig, run: F) -> Vec<SweepPoint>
 where
-    F: Fn(u64, PolicySpec) -> SweepPoint + Sync,
+    F: Fn(u64) -> Vec<SweepPoint> + Sync,
 {
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     assert!(!cfg.units.is_empty() && !cfg.policies.is_empty(), "empty sweep");
-    let mut jobs: Vec<(usize, u64, PolicySpec)> = Vec::new();
-    for &u in &cfg.units {
-        for &p in &cfg.policies {
-            jobs.push((jobs.len(), u, p));
-        }
-    }
-    let results: Mutex<Vec<(usize, SweepPoint)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let jobs = &cfg.units;
+    let results: Mutex<Vec<(usize, Vec<SweepPoint>)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
     let next = AtomicUsize::new(0);
@@ -145,16 +147,15 @@ where
                 if i >= jobs.len() {
                     break;
                 }
-                let (order, units, policy) = jobs[i];
                 // Catch the panic here rather than letting it unwind
                 // through the scope: we keep the original payload, and no
                 // lock is ever poisoned by an unwinding worker.
-                match std::panic::catch_unwind(AssertUnwindSafe(|| run(units, policy))) {
-                    Ok(point) => {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| run(jobs[i]))) {
+                    Ok(points) => {
                         results
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
-                            .push((order, point));
+                            .push((i, points));
                     }
                     Err(payload) => {
                         abort.store(true, Ordering::Relaxed);
@@ -175,19 +176,16 @@ where
 
     let mut out = results.into_inner().unwrap_or_else(|e| e.into_inner());
     out.sort_by_key(|(order, _)| *order);
-    out.into_iter().map(|(_, p)| p).collect()
+    out.into_iter().flat_map(|(_, points)| points).collect()
 }
 
-fn run_point(
-    cfg: &SweepConfig,
-    units: u64,
-    policy: PolicySpec,
-    predictor: &Predictor,
-) -> SweepPoint {
+/// One unit's points, one per policy in order: a single group simulation,
+/// then a run of its own for each policy that diverged from the first.
+fn run_unit(cfg: &SweepConfig, units: u64, predictor: &Predictor) -> Vec<SweepPoint> {
     let max_tracks = units * TRACKS_PER_UNIT;
     let scenario = ScenarioConfig {
         pattern: cfg.pattern,
-        policy,
+        policy: cfg.policies[0],
         workload: WorkloadRange::new(500.min(max_tracks), max_tracks),
         n_periods: cfg.n_periods,
         ambient_util: cfg.ambient_util,
@@ -198,10 +196,7 @@ fn run_point(
         faults: cfg.faults.clone(),
         observe: cfg.observe,
     };
-    let started = std::time::Instant::now();
-    let r = run_scenario(&scenario, predictor);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    SweepPoint {
+    let point = |policy, r: &ScenarioResult, wall_ms| SweepPoint {
         units,
         policy,
         missed_pct: r.summary.missed_deadline_pct,
@@ -211,7 +206,31 @@ fn run_point(
         combined: r.breakdown.combined,
         placement_changes: r.summary.placement_changes,
         wall_ms,
-    }
+    };
+    let started = std::time::Instant::now();
+    let group = run_group(&scenario, &cfg.policies, predictor);
+    let served: Vec<bool> = group.served().collect();
+    let shared_ms = started.elapsed().as_secs_f64() * 1e3
+        / served.iter().filter(|&&s| s).count() as f64;
+    // Reduce the shared run to its points, and free it, before any re-run.
+    let shared: Vec<Option<SweepPoint>> = cfg
+        .policies
+        .iter()
+        .zip(served)
+        .map(|(&policy, s)| s.then(|| point(policy, &group.lead, shared_ms)))
+        .collect();
+    drop(group);
+    cfg.policies
+        .iter()
+        .zip(shared)
+        .map(|(&policy, p)| {
+            p.unwrap_or_else(|| {
+                let started = std::time::Instant::now();
+                let r = run_group(&scenario, &[policy], predictor).lead;
+                point(policy, &r, started.elapsed().as_secs_f64() * 1e3)
+            })
+        })
+        .collect()
 }
 
 /// Renders the *deterministic* fields of sweep points as CSV text — every
@@ -351,21 +370,24 @@ mod tests {
         cfg.units = vec![2, 4, 6, 8];
         cfg.threads = 4;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sweep_with(&cfg, |units, policy| {
+            run_sweep_with(&cfg, |units| {
                 if units == 4 {
                     panic!("injected point failure at unit 4");
                 }
-                SweepPoint {
-                    units,
-                    policy,
-                    missed_pct: 0.0,
-                    cpu_pct: 0.0,
-                    net_pct: 0.0,
-                    avg_replicas: 1.0,
-                    combined: 0.0,
-                    placement_changes: 0,
-                    wall_ms: 1.0,
-                }
+                cfg.policies
+                    .iter()
+                    .map(|&policy| SweepPoint {
+                        units,
+                        policy,
+                        missed_pct: 0.0,
+                        cpu_pct: 0.0,
+                        net_pct: 0.0,
+                        avg_replicas: 1.0,
+                        combined: 0.0,
+                        placement_changes: 0,
+                        wall_ms: 1.0,
+                    })
+                    .collect()
             })
         }))
         .expect_err("sweep should re-raise the injected panic");
