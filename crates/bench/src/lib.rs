@@ -9,30 +9,17 @@
 
 use rtds_arm::predictor::Predictor;
 use rtds_experiments::models::quick_predictor;
-use rtds_experiments::scenario::{FaultPlan, PatternSpec, PolicySpec, ScenarioConfig};
+use rtds_experiments::scenario::{PatternSpec, PolicySpec, ScenarioConfig};
 use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
 use rtds_sim::ids::{LoadGenId, NodeId};
 use rtds_sim::load::PoissonLoad;
 use rtds_sim::metrics::RunMetrics;
 use rtds_sim::time::SimDuration;
-use rtds_workloads::WorkloadRange;
 
 /// A short but representative evaluation scenario: 40 periods of the
 /// triangular pattern at the pre-threshold high-workload point.
 pub fn bench_scenario(pattern: PatternSpec, policy: PolicySpec) -> ScenarioConfig {
-    ScenarioConfig {
-        pattern,
-        policy,
-        workload: WorkloadRange::new(500, 12_000),
-        n_periods: 40,
-        ambient_util: 0.10,
-        seed: 0xBE_0C4,
-        scheduler: rtds_sim::sched::SchedulerKind::paper_baseline(),
-        online_refinement: false,
-        failures: Vec::new(),
-        faults: FaultPlan::default(),
-        observe: false,
-    }
+    ScenarioConfig { n_periods: 40, seed: 0xBE_0C4, ..ScenarioConfig::paper(pattern, policy, 12_000) }
 }
 
 /// A background-dominated variant of [`bench_scenario`]: same pipeline,

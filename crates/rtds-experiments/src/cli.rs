@@ -157,14 +157,17 @@ impl RunOptions {
     /// End-of-run plumbing: prints the aggregated perf summary (if
     /// `--perf` instrumented this run) and writes the `--trace-out` /
     /// `--decisions-out` exports (exit 1 on I/O error; a no-op when
-    /// neither flag was passed).
+    /// neither flag was passed). The trace's perf slices are the printed
+    /// aggregate, which does not include the probe run itself.
     fn finish(&self) {
-        if let Some(s) = crate::perfmon::summary() {
-            println!("{s}");
+        let perf = crate::perfmon::snapshot();
+        if let Some(agg) = &perf {
+            println!("{}", crate::perfmon::summary(agg));
         }
-        let exports = crate::export::write_observed_probe(
+        let exports = crate::export::write_probe(
             self.trace_out.as_deref(),
             self.decisions_out.as_deref(),
+            perf.map(|agg| agg.report).as_ref(),
         );
         for p in or_exit("write observability exports", exports) {
             eprintln!("wrote {}", p.display());

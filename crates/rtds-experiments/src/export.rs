@@ -231,7 +231,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 /// Runs one fully-observed probe scenario (quick predictive triangular
 /// run at near-saturating workload — enough load that replication,
 /// shutdown, and misses all occur) and writes the requested export files.
-/// Returns the paths written.
+/// Returns the paths written. The trace carries no perf slices; `run_all
+/// --perf` adds the aggregate it prints.
 ///
 /// This backs the `--trace-out` / `--decisions-out` flags: the figure
 /// runners themselves keep observability off so their outputs stay
@@ -243,6 +244,16 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 pub fn write_observed_probe(
     trace_out: Option<&Path>,
     decisions_out: Option<&Path>,
+) -> std::io::Result<Vec<PathBuf>> {
+    write_probe(trace_out, decisions_out, None)
+}
+
+/// [`write_observed_probe`], with `perf` rendered into the trace as
+/// wall-clock phase slices.
+pub(crate) fn write_probe(
+    trace_out: Option<&Path>,
+    decisions_out: Option<&Path>,
+    perf: Option<&PerfReport>,
 ) -> std::io::Result<Vec<PathBuf>> {
     if trace_out.is_none() && decisions_out.is_none() {
         return Ok(Vec::new());
@@ -258,8 +269,7 @@ pub fn write_observed_probe(
 
     let mut written = Vec::new();
     if let Some(path) = trace_out {
-        let perf = crate::perfmon::snapshot().map(|a| a.report);
-        let doc = chrome_trace(result.trace.as_ref(), &result.decisions, perf.as_ref());
+        let doc = chrome_trace(result.trace.as_ref(), &result.decisions, perf);
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }

@@ -13,38 +13,11 @@
 use rtds_arm::config::ArmConfig;
 use rtds_arm::eqf::EqfVariant;
 use rtds_arm::manager::ResourceManager;
-use rtds_arm::metrics::combined_breakdown;
 use rtds_arm::predictive::ProcessorChoice;
-use rtds_dynbench::app::aaw_task;
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
-use rtds_sim::ids::{LoadGenId, NodeId};
-use rtds_sim::load::PoissonLoad;
-use rtds_sim::time::SimDuration;
-use rtds_workloads::{PatternSpec, WorkloadRange};
 
-use super::{FigureOptions, FigureOutput};
+use super::{base_scenario, FigureOptions, FigureOutput};
 use crate::report::{fmt_f, Table};
-
-fn run_variant(cfg: ArmConfig, opts: &FigureOptions) -> rtds_sim::metrics::RunSummary {
-    let n_periods = if opts.quick { 40 } else { 160 };
-    let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
-        0xAB1A7E,
-        SimDuration::from_secs(n_periods),
-    ));
-    let mut pattern = PatternSpec::Triangular { half_period: n_periods / 8 }
-        .build(WorkloadRange::new(500, 13_000));
-    cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-    for n in 0..6 {
-        cluster.add_load(Box::new(PoissonLoad::with_utilization(
-            LoadGenId(n),
-            NodeId(n),
-            0.10,
-            SimDuration::from_millis(2),
-        )));
-    }
-    cluster.set_controller(Box::new(ResourceManager::new(cfg, opts.predictor())));
-    cluster.run().metrics.summarize(&[2, 4])
-}
+use crate::scenario::{run_controller, PolicySpec, ScenarioConfig, ScenarioResult};
 
 /// Runs every ablation variant and renders the comparison table.
 pub fn ablations(opts: &FigureOptions) -> FigureOutput {
@@ -91,9 +64,13 @@ pub fn ablations(opts: &FigureOptions) -> FigureOutput {
         "placements",
         "combined",
     ]);
+    let predictor = opts.predictor();
+    let scenario =
+        ScenarioConfig { seed: 0xAB1A7E, ..base_scenario(opts, PolicySpec::Predictive, 13_000) };
     for (name, cfg) in variants {
-        let s = run_variant(cfg, opts);
-        let b = combined_breakdown(&s, 6);
+        let manager = Box::new(ResourceManager::new(cfg, predictor.clone()));
+        let ScenarioResult { summary: s, breakdown: b, .. } =
+            run_controller(&scenario, scenario.cluster_config(), manager);
         table.row(vec![
             name,
             fmt_f(s.missed_deadline_pct),

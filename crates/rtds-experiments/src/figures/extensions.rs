@@ -29,29 +29,12 @@ use rtds_sim::sched::SchedulerKind;
 use rtds_sim::time::SimDuration;
 use rtds_workloads::WorkloadRange;
 
-use super::{FigureOptions, FigureOutput};
+use super::{base_scenario, FigureOptions, FigureOutput};
 use crate::models::LINK_BPS;
 use crate::report::{fmt_f, Table};
 use crate::scenario::{
-    run_policies, run_scenario, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig,
+    run_controller, run_policies, run_scenario, PatternSpec, PolicySpec, ScenarioConfig,
 };
-
-fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> ScenarioConfig {
-    let n = if opts.quick { 40 } else { 160 };
-    ScenarioConfig {
-        pattern: PatternSpec::Triangular { half_period: n / 8 },
-        policy,
-        workload: WorkloadRange::new(500, max),
-        n_periods: n,
-        ambient_util: 0.10,
-        seed: 0xE87,
-        scheduler: SchedulerKind::paper_baseline(),
-        online_refinement: false,
-        failures: Vec::new(),
-        faults: FaultPlan::default(),
-        observe: false,
-    }
-}
 
 /// Survivability: a replica-relevant node (p5, the spare) and a home node
 /// (p4, EvalDecide) die mid-run; compare policies and the no-management
@@ -151,7 +134,7 @@ pub fn ext_multitask(opts: &FigureOptions) -> FigureOutput {
             .for_task(TaskId(1));
             cluster.set_controller(Box::new(CompositeManager::new(vec![m0, m1])));
         }
-        let out = cluster.run();
+        let out = crate::perfmon::run(cluster);
         let split = |task: u64| {
             let recs: Vec<_> = out
                 .metrics
@@ -346,7 +329,7 @@ pub fn ext_patterns(opts: &FigureOptions) -> FigureOutput {
 /// paper's middleware reacted more slowly than our idealized per-period
 /// loop, which is why its Figs. 9a/11a/12a show nonzero miss rates).
 pub fn ext_control_latency(opts: &FigureOptions) -> FigureOutput {
-    use rtds_arm::manager::ResourceManager as RM;
+    let predictor = opts.predictor();
     let n = if opts.quick { 40 } else { 160 };
     let mut table = Table::new(vec![
         "act_every (periods)",
@@ -361,27 +344,17 @@ pub fn ext_control_latency(opts: &FigureOptions) -> FigureOutput {
         ] {
             let mut arm = base;
             arm.act_every = act_every;
-            let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
-                0xC7A ^ u64::from(act_every),
-                SimDuration::from_secs(n),
-            ));
             // A square wave: instantaneous min->max jumps punish slow
             // control far harder than the paper's ramps (whose per-period
             // deltas a per-period loop absorbs without misses).
             let phase = (n / 16).max(2);
-            let mut pattern = PatternSpec::Step { low: phase, high: phase }
-                .build(WorkloadRange::new(500, 15_000));
-            cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-            for nd in 0..6 {
-                cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                    LoadGenId(nd),
-                    NodeId(nd),
-                    0.10,
-                    SimDuration::from_millis(2),
-                )));
-            }
-            cluster.set_controller(Box::new(RM::new(arm, opts.predictor())));
-            let s = cluster.run().metrics.summarize(&[2, 4]);
+            let cfg = ScenarioConfig {
+                pattern: PatternSpec::Step { low: phase, high: phase },
+                seed: 0xC7A ^ u64::from(act_every),
+                ..base_scenario(opts, policy, 15_000)
+            };
+            let manager = ResourceManager::new(arm, predictor.clone());
+            let s = run_controller(&cfg, cfg.cluster_config(), Box::new(manager)).summary;
             table.row(vec![
                 act_every.to_string(),
                 policy.name().to_string(),
@@ -472,7 +445,8 @@ pub fn ext_seed_sensitivity(opts: &FigureOptions) -> FigureOutput {
 /// Asynchrony stressors: release jitter and clock skew, on vs off.
 pub fn ext_asynchrony(opts: &FigureOptions) -> FigureOutput {
     use rtds_sim::clock::ClockConfig;
-    let n = if opts.quick { 40 } else { 160 };
+    let predictor = opts.predictor();
+    let cfg = ScenarioConfig { seed: 0xA57, ..base_scenario(opts, PolicySpec::Predictive, 13_000) };
     let mut table = Table::new(vec![
         "arrivals",
         "clocks",
@@ -482,28 +456,12 @@ pub fn ext_asynchrony(opts: &FigureOptions) -> FigureOutput {
     ]);
     for (alabel, jitter_us) in [("periodic", 0u64), ("jittered <=150ms", 150_000)] {
         for (clabel, clock) in [("perfect", ClockConfig::perfect()), ("LAN skew", ClockConfig::lan_default())] {
-            let mut ccfg = ClusterConfig::paper_baseline(0xA57, SimDuration::from_secs(n));
-            ccfg.release_jitter_us = jitter_us;
-            ccfg.clock = clock;
-            let mut cluster = Cluster::new(ccfg);
-            let mut pattern = PatternSpec::Triangular { half_period: n / 8 }
-                .build(WorkloadRange::new(500, 13_000));
-            cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-            for nd in 0..6 {
-                cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                    LoadGenId(nd),
-                    NodeId(nd),
-                    0.10,
-                    SimDuration::from_millis(2),
-                )));
-            }
-            cluster.set_controller(Box::new(ResourceManager::new(
-                ArmConfig::paper_predictive(),
-                opts.predictor(),
-            )));
-            let out = cluster.run();
-            let s = out.metrics.summarize(&[2, 4]);
-            let p95 = out
+            let cluster =
+                ClusterConfig { release_jitter_us: jitter_us, clock, ..cfg.cluster_config() };
+            let manager = ResourceManager::new(ArmConfig::paper_predictive(), predictor.clone());
+            let r = run_controller(&cfg, cluster, Box::new(manager));
+            let s = r.summary;
+            let p95 = r
                 .metrics
                 .latency_distribution()
                 .map(|d| d.p95_ms)
@@ -688,61 +646,35 @@ pub fn ext_decentralized(opts: &FigureOptions) -> FigureOutput {
         "placements",
         "combined",
     ]);
-    let run = |controller: Box<dyn rtds_sim::control::Controller>, square: bool| {
-        let mut cluster = Cluster::new(ClusterConfig::paper_baseline(
-            0xDEC0u64,
-            SimDuration::from_secs(n),
-        ));
-        let (spec, max) = if square {
+    let predictor = opts.predictor();
+    for square in [false, true] {
+        let pat = if square { "square" } else { "triangular" };
+        let (pattern, max) = if square {
             let phase = (n / 16).max(2);
             (PatternSpec::Step { low: phase, high: phase }, 15_500)
         } else {
             (PatternSpec::Triangular { half_period: n / 8 }, 13_000)
         };
-        let mut pattern = spec.build(WorkloadRange::new(500, max));
-        cluster.add_task(aaw_task(), Box::new(move |i| pattern.tracks_at(i)));
-        for nd in 0..6 {
-            cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                LoadGenId(nd),
-                NodeId(nd),
-                0.10,
-                SimDuration::from_millis(2),
-            )));
-        }
-        cluster.set_controller(controller);
-        let s = cluster.run().metrics.summarize(&[2, 4]);
-        (s, rtds_arm::metrics::combined_breakdown(&s, 6).combined)
-    };
-    for square in [false, true] {
-        let pat = if square { "square" } else { "triangular" };
-        let (s, c) = run(
-            Box::new(ResourceManager::new(
-                ArmConfig::paper_predictive(),
-                opts.predictor(),
-            )),
-            square,
-        );
-        table.row(vec![
-            format!("{pat}/centralized (paper)"),
-            fmt_f(s.missed_deadline_pct),
-            fmt_f(s.avg_replicas),
-            s.placement_changes.to_string(),
-            fmt_f(c),
-        ]);
-        for staleness in [0usize, 2, 5] {
-            let (s, c) = run(
-                Box::new(
-                    ResourceManager::new(ArmConfig::paper_predictive(), opts.predictor())
-                        .decentralized(staleness),
-                ),
-                square,
-            );
+        let cfg = ScenarioConfig {
+            pattern,
+            seed: 0xDEC0,
+            ..base_scenario(opts, PolicySpec::Predictive, max)
+        };
+        let managers = std::iter::once(("centralized (paper)".to_string(), None))
+            .chain([0usize, 2, 5].map(|k| (format!("decentralized, staleness {k}"), Some(k))));
+        for (label, staleness) in managers {
+            let manager = ResourceManager::new(ArmConfig::paper_predictive(), predictor.clone());
+            let manager = match staleness {
+                Some(k) => manager.decentralized(k),
+                None => manager,
+            };
+            let r = run_controller(&cfg, cfg.cluster_config(), Box::new(manager));
             table.row(vec![
-                format!("{pat}/decentralized, staleness {staleness}"),
-                fmt_f(s.missed_deadline_pct),
-                fmt_f(s.avg_replicas),
-                s.placement_changes.to_string(),
-                fmt_f(c),
+                format!("{pat}/{label}"),
+                fmt_f(r.summary.missed_deadline_pct),
+                fmt_f(r.summary.avg_replicas),
+                r.summary.placement_changes.to_string(),
+                fmt_f(r.breakdown.combined),
             ]);
         }
     }

@@ -15,6 +15,7 @@ pub mod tables;
 use std::path::{Path, PathBuf};
 
 use crate::cli::{or_exit, RunOptions};
+use crate::scenario::{PatternSpec, PolicySpec, ScenarioConfig};
 
 /// One name `run_all` accepts and the figures it emits.
 #[derive(Debug)]
@@ -157,6 +158,14 @@ impl FigureOptions {
             crate::models::quick_predictor()
         }
     }
+}
+
+/// The triangular scenario the ablations and extensions vary: 40 periods
+/// quick, 160 full, seed 0xE87.
+pub(crate) fn base_scenario(opts: &FigureOptions, policy: PolicySpec, max: u64) -> ScenarioConfig {
+    let n = if opts.quick { 40 } else { 160 };
+    let pattern = PatternSpec::Triangular { half_period: n / 8 };
+    ScenarioConfig { n_periods: n, seed: 0xE87, ..ScenarioConfig::paper(pattern, policy, max) }
 }
 
 /// A rendered figure: console text plus the named tables that produced it.

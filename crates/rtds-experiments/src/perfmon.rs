@@ -3,13 +3,19 @@
 //! `run_all` runs many simulations through [`crate::scenario`];
 //! threading a perf flag through every call site would ripple the
 //! scenario API for a purely diagnostic concern. Instead this module
-//! holds one process-global switch plus an aggregate: when enabled,
-//! every simulation a scenario runner executes instruments its cluster
-//! and folds the resulting [`PerfReport`] into the aggregate, which the
-//! binary prints at exit. A run that a policy group
+//! holds one process-global switch plus an aggregate, and one hook that
+//! runs a cluster: every simulation of the experiment layer — the
+//! scenario runners, the ablations and every extension — goes through
+//! it. When enabled, the hook instruments the cluster and folds the
+//! resulting [`PerfReport`] into the aggregate, which the binary prints
+//! at exit. A run that a policy group
 //! ([`crate::scenario::run_policies`]) shares between several policies
 //! counts once, and its control-epoch time and allocations include the
 //! lockstep calls of the policies still in step with the first one.
+//!
+//! The profiling campaign (`tables`, `fig2`–`fig4`, `profile`, and the
+//! fitted models behind the other figures) builds its clusters inside
+//! `rtds-dynbench` and is not counted.
 //!
 //! The allocation probe is a monotone allocation counter. The library
 //! crates forbid `unsafe`, so the `run_all` binary installs its own
@@ -18,6 +24,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use rtds_sim::cluster::{Cluster, ClusterApi, RunOutcome};
 use rtds_sim::perf::PerfReport;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -41,14 +48,17 @@ pub fn enable(alloc_probe: fn() -> u64) {
     ENABLED.store(true, Ordering::Release);
 }
 
-/// Whether `--perf` instrumentation is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
-}
-
-/// The registered allocation probe; `None` until [`enable`].
-pub fn probe() -> Option<fn() -> u64> {
-    PROBE.get().copied()
+/// Runs `cluster` to its horizon: instrumented, with its report folded
+/// into the aggregate, when `--perf` is on.
+pub(crate) fn run(mut cluster: Cluster) -> RunOutcome {
+    if ENABLED.load(Ordering::Acquire) {
+        cluster.enable_perf(PROBE.get().copied());
+    }
+    let outcome = cluster.run();
+    if let Some(p) = &outcome.perf {
+        record(p);
+    }
+    outcome
 }
 
 /// Clears the aggregate so a new batch of runs starts from zero.
@@ -64,7 +74,7 @@ pub fn reset() {
 }
 
 /// Folds one run's report into the process aggregate.
-pub fn record(r: &PerfReport) {
+fn record(r: &PerfReport) {
     let mut guard = AGG.lock().unwrap_or_else(|e| e.into_inner());
     let agg = guard.get_or_insert_with(Aggregate::default);
     agg.runs += 1;
@@ -76,12 +86,10 @@ pub fn snapshot() -> Option<Aggregate> {
     AGG.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Renders the aggregate for end-of-run printing; `None` when
-/// instrumentation was off or nothing ran.
-pub fn summary() -> Option<String> {
-    let agg = snapshot()?;
+/// Renders an aggregate for end-of-run printing.
+pub fn summary(agg: &Aggregate) -> String {
     let header = format!("== perf (aggregated over {} simulation runs) ==", agg.runs);
-    Some(format!("{header}\n{}", agg.report.render()))
+    format!("{header}\n{}", agg.report.render())
 }
 
 #[cfg(test)]
@@ -98,7 +106,6 @@ mod tests {
     fn aggregate_lifecycle_accumulates_resets_and_reports_allocs() {
         reset();
         assert!(snapshot().is_none(), "reset leaves no aggregate");
-        assert!(summary().is_none());
 
         // Two identical probe-less runs accumulate.
         let mut r = PerfReport::default();
@@ -115,7 +122,7 @@ mod tests {
         assert_eq!(agg.report.events[1], 10);
         assert_eq!(agg.report.queue.popped, 10);
         assert_eq!(agg.report.queue.heap_high_water, 7);
-        assert!(summary().expect("non-empty").contains("dispatch"));
+        assert!(summary(&agg).contains("dispatch"));
 
         // A probed run: render() divides its allocations by its epochs.
         reset();
@@ -123,7 +130,7 @@ mod tests {
         probed.control_epochs = 3;
         probed.epoch_allocs = Some(120);
         record(&probed);
-        let s = summary().expect("non-empty");
+        let s = summary(&snapshot().expect("non-empty"));
         assert!(s.contains("allocs/epoch=40.0"), "{s}");
 
         // And a batch restart starts the count from zero again.

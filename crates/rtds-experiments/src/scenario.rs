@@ -20,8 +20,7 @@ use rtds_arm::manager::ResourceManager;
 use rtds_arm::metrics::{combined_breakdown, CombinedBreakdown};
 use rtds_arm::predictor::Predictor;
 use rtds_dynbench::app::{aaw_task, EVAL_DECIDE_STAGE, FILTER_STAGE};
-use rtds_sim::clock::ClockConfig;
-use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
+use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig, RunOutcome};
 use rtds_sim::control::{
     ControlAction, ControlContext, Controller, NullController, PeriodObservation,
 };
@@ -162,6 +161,18 @@ impl ScenarioConfig {
             faults: FaultPlan::default(),
             observe: false,
         }
+    }
+
+    /// The Table 1 cluster at this scenario's seed and horizon, with its
+    /// scheduler and the fault plan's bus settings.
+    pub(crate) fn cluster_config(&self) -> ClusterConfig {
+        let mut c = ClusterConfig::paper_baseline(self.seed, SimDuration::from_secs(self.n_periods));
+        c.scheduler = self.scheduler;
+        c.bus.drop_prob = self.faults.drop_prob;
+        c.bus.dup_prob = self.faults.dup_prob;
+        c.bus.retx_timeout_us = self.faults.retx_timeout_us;
+        c.bus.jam = self.faults.jam;
+        c
     }
 }
 
@@ -370,36 +381,6 @@ fn run_group_on(
     build: fn(ClusterConfig) -> Cluster,
 ) -> GroupRun {
     assert!(!policies.is_empty(), "empty policy group");
-    assert!(cfg.n_periods > 0, "empty scenario");
-    assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
-    let horizon = SimDuration::from_secs(cfg.n_periods);
-    let mut cluster_cfg = ClusterConfig::paper_baseline(cfg.seed, horizon);
-    cluster_cfg.clock = ClockConfig::lan_default();
-    cluster_cfg.scheduler = cfg.scheduler;
-    cluster_cfg.bus.drop_prob = cfg.faults.drop_prob;
-    cluster_cfg.bus.dup_prob = cfg.faults.dup_prob;
-    cluster_cfg.bus.retx_timeout_us = cfg.faults.retx_timeout_us;
-    cluster_cfg.bus.jam = cfg.faults.jam;
-    let mut cluster = build(cluster_cfg);
-
-    let task = aaw_task();
-    let mut pattern = cfg.pattern.build(cfg.workload);
-    cluster.add_task(task, Box::new(move |period| pattern.tracks_at(period)));
-
-    if cfg.ambient_util > 0.0 {
-        for n in 0..6 {
-            cluster.add_load(Box::new(PoissonLoad::with_utilization(
-                LoadGenId(n),
-                NodeId(n),
-                cfg.ambient_util,
-                SimDuration::from_millis(2),
-            )));
-        }
-    }
-
-    if cfg.observe {
-        cluster.enable_trace(OBSERVE_CAPACITY);
-    }
     let (lead, lead_decisions) = policy_controller(cfg, policies[0], predictor);
     let shadows: Vec<Shadow> = policies[1..]
         .iter()
@@ -409,36 +390,15 @@ fn run_group_on(
         })
         .collect();
     let shadows = Arc::new(Mutex::new(shadows));
-    if policies.len() == 1 {
-        cluster.set_controller(lead);
+    let controller: Box<dyn Controller> = if policies.len() == 1 {
+        lead
     } else {
-        cluster.set_controller(Box::new(Lockstep { lead, shadows: Arc::clone(&shadows) }));
-    }
-
-    for &(node, at_s) in &cfg.failures {
-        cluster.fail_node_at(rtds_sim::ids::NodeId(node), SimTime::from_secs(at_s));
-    }
-    for &CrashFault { node, at_s, restart_after_s } in &cfg.faults.crashes {
-        cluster.crash_node_at(
-            rtds_sim::ids::NodeId(node),
-            SimTime::from_secs(at_s),
-            restart_after_s.map(SimDuration::from_secs),
-        );
-    }
-
-    if crate::perfmon::enabled() {
-        cluster.enable_perf(crate::perfmon::probe());
-    }
-    let outcome = cluster.run();
-    if let Some(p) = &outcome.perf {
-        crate::perfmon::record(p);
-    }
-    let summary = outcome
-        .metrics
-        .summarize(&replicable_stage_indices());
-    let breakdown = combined_breakdown(&summary, 6);
-    // `run` consumed the cluster and with it the lead's controller and the
-    // lockstep wrapper, so the shadows and the lead's sink are ours alone.
+        Box::new(Lockstep { lead, shadows: Arc::clone(&shadows) })
+    };
+    let outcome = simulate(cfg, build(cfg.cluster_config()), controller);
+    // The run consumed the cluster and with it the lead's controller and
+    // the lockstep wrapper, so the shadows and the lead's sink are ours
+    // alone.
     let shadows = std::mem::take(&mut *shadows.lock().unwrap_or_else(|e| e.into_inner()));
     let shadows = shadows
         .into_iter()
@@ -450,15 +410,81 @@ fn run_group_on(
             })
         })
         .collect();
-    let lead = ScenarioResult {
-        summary,
-        breakdown,
-        metrics: outcome.metrics,
-        policy: policies[0].name(),
-        trace: outcome.trace,
-        decisions: drain(lead_decisions),
-    };
+    let lead = ScenarioResult::from_outcome(outcome, policies[0].name(), drain(lead_decisions));
     GroupRun { lead, shadows }
+}
+
+/// Runs `cfg`'s task, pattern, ambient load and node faults on a
+/// [`Cluster::new`] cluster built from `cluster`, under `controller`: the
+/// scenario runner for a manager or cluster that a [`ScenarioConfig`]
+/// cannot name. `cfg.policy` is ignored; the result is named after the
+/// controller and carries no decision records.
+pub(crate) fn run_controller(
+    cfg: &ScenarioConfig,
+    cluster: ClusterConfig,
+    controller: Box<dyn Controller>,
+) -> ScenarioResult {
+    let outcome = simulate(cfg, Cluster::new(cluster), controller);
+    let name = outcome.controller;
+    ScenarioResult::from_outcome(outcome, name, Vec::new())
+}
+
+/// Adds the scenario's task under its workload pattern, the ambient load,
+/// the trace when observing, `controller` and the fault plan's node
+/// faults to `cluster`, and runs it.
+fn simulate(
+    cfg: &ScenarioConfig,
+    mut cluster: Cluster,
+    controller: Box<dyn Controller>,
+) -> RunOutcome {
+    assert!(cfg.n_periods > 0, "empty scenario");
+    assert!((0.0..1.0).contains(&cfg.ambient_util), "ambient must be in [0,1)");
+    let mut pattern = cfg.pattern.build(cfg.workload);
+    cluster.add_task(aaw_task(), Box::new(move |period| pattern.tracks_at(period)));
+    if cfg.ambient_util > 0.0 {
+        for n in 0..6 {
+            cluster.add_load(Box::new(PoissonLoad::with_utilization(
+                LoadGenId(n),
+                NodeId(n),
+                cfg.ambient_util,
+                SimDuration::from_millis(2),
+            )));
+        }
+    }
+    if cfg.observe {
+        cluster.enable_trace(OBSERVE_CAPACITY);
+    }
+    cluster.set_controller(controller);
+    for &(node, at_s) in &cfg.failures {
+        cluster.fail_node_at(NodeId(node), SimTime::from_secs(at_s));
+    }
+    for &CrashFault { node, at_s, restart_after_s } in &cfg.faults.crashes {
+        cluster.crash_node_at(
+            NodeId(node),
+            SimTime::from_secs(at_s),
+            restart_after_s.map(SimDuration::from_secs),
+        );
+    }
+    crate::perfmon::run(cluster)
+}
+
+impl ScenarioResult {
+    /// Reduces a finished run to the paper metrics.
+    fn from_outcome(
+        outcome: RunOutcome,
+        policy: &'static str,
+        decisions: Vec<(SimTime, DecisionRecord)>,
+    ) -> ScenarioResult {
+        let summary = outcome.metrics.summarize(&replicable_stage_indices());
+        ScenarioResult {
+            summary,
+            breakdown: combined_breakdown(&summary, 6),
+            metrics: outcome.metrics,
+            policy,
+            trace: outcome.trace,
+            decisions,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -534,6 +560,25 @@ mod tests {
         // one needs a run of its own.
         let busy = run_group(&quick_cfg(PolicySpec::Predictive, 14_000), &pair, &p);
         assert_eq!(busy.served().collect::<Vec<_>>(), [true, false]);
+    }
+
+    #[test]
+    fn run_controller_assembles_the_system_run_scenario_does() {
+        let p = quick_predictor();
+        let mut cfg = quick_cfg(PolicySpec::Predictive, 14_000);
+        cfg.faults = FaultPlan {
+            drop_prob: 0.05,
+            retx_timeout_us: 80_000,
+            crashes: vec![CrashFault { node: 2, at_s: 12, restart_after_s: Some(4) }],
+            ..FaultPlan::default()
+        };
+        cfg.failures = vec![(5, 20)];
+        let manager = ResourceManager::new(ArmConfig::paper_predictive(), p.clone());
+        let by_controller = run_controller(&cfg, cfg.cluster_config(), Box::new(manager));
+        let by_policy = run_scenario(&cfg, &p);
+        assert_eq!(by_controller.summary, by_policy.summary);
+        assert_eq!(format!("{:?}", by_controller.metrics), format!("{:?}", by_policy.metrics));
+        assert!(by_policy.metrics.messages_dropped > 0, "the bus faults reach the cluster");
     }
 
     #[test]

@@ -18,7 +18,6 @@ use rtds_arm::predictor::Predictor;
 use crate::scenario::{
     run_group, FaultPlan, PatternSpec, PolicySpec, ScenarioConfig, ScenarioResult,
 };
-use rtds_workloads::WorkloadRange;
 
 /// Tracks per scale unit on every figure's x-axis ("1 scale unit = 500
 /// Track").
@@ -184,17 +183,12 @@ where
 fn run_unit(cfg: &SweepConfig, units: u64, predictor: &Predictor) -> Vec<SweepPoint> {
     let max_tracks = units * TRACKS_PER_UNIT;
     let scenario = ScenarioConfig {
-        pattern: cfg.pattern,
-        policy: cfg.policies[0],
-        workload: WorkloadRange::new(500.min(max_tracks), max_tracks),
         n_periods: cfg.n_periods,
         ambient_util: cfg.ambient_util,
         seed: cfg.seed,
-        scheduler: rtds_sim::sched::SchedulerKind::paper_baseline(),
-        online_refinement: false,
-        failures: Vec::new(),
         faults: cfg.faults.clone(),
         observe: cfg.observe,
+        ..ScenarioConfig::paper(cfg.pattern, cfg.policies[0], max_tracks)
     };
     let point = |policy, r: &ScenarioResult, wall_ms| SweepPoint {
         units,
