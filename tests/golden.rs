@@ -123,6 +123,53 @@ fn every_pattern_series_matches_its_digest() {
     assert_eq!(fnv1a64(&bytes), 0x15c3_0395_7c73_0d85, "a workload pattern's series changed");
 }
 
+/// Quick predictive runs under every `SchedulerKind`, each with ambient
+/// load on (stage jobs at priority 0 share nodes with background jobs at
+/// priority 1), and once more with a lossy bus plus a crash–restart of
+/// every node in turn, so that under each kind some crash drains a
+/// non-empty ready queue. Hashes the Debug rendering of every run's
+/// metrics.
+#[test]
+fn every_scheduler_run_matches_its_digest() {
+    use rtds::experiments::scenario::{CrashFault, FaultPlan};
+    use rtds::sim::sched::SchedulerKind;
+
+    let predictor = quick_predictor();
+    let schedulers = [
+        SchedulerKind::paper_baseline(),
+        SchedulerKind::RoundRobin { quantum_us: 5_000 },
+        SchedulerKind::Fifo,
+        SchedulerKind::StaticPriority { quantum_us: None },
+        SchedulerKind::StaticPriority { quantum_us: Some(1_000) },
+    ];
+    let faulty = FaultPlan {
+        drop_prob: 0.10,
+        dup_prob: 0.0,
+        retx_timeout_us: 20_000,
+        jam: None,
+        crashes: (0..6)
+            .map(|node| CrashFault { node, at_s: 3 + 2 * u64::from(node), restart_after_s: Some(1) })
+            .collect(),
+    };
+    let mut bytes = Vec::new();
+    for scheduler in schedulers {
+        for faults in [FaultPlan::default(), faulty.clone()] {
+            let mut cfg = ScenarioConfig::paper(
+                PatternSpec::Triangular { half_period: 5 },
+                PolicySpec::Predictive,
+                12_000,
+            );
+            cfg.n_periods = 20;
+            cfg.ambient_util = 0.5;
+            cfg.scheduler = scheduler;
+            cfg.faults = faults;
+            let r = run_scenario(&cfg, &predictor);
+            bytes.extend_from_slice(format!("{:?}\n", r.metrics).as_bytes());
+        }
+    }
+    assert_eq!(fnv1a64(&bytes), 0x6ea0_b8c7_a572_0bde, "a scheduler's run changed");
+}
+
 /// One extension figure per manager-loop feature, plus the decision
 /// stream of an observed predictive run with a node failure, so the
 /// order in which the loop emits repair, replicate and no-op records is
