@@ -7,11 +7,13 @@
 //! part is which candidates were examined, what their forecasts said,
 //! and how the threshold was derived. [`DecisionRecord`] captures one
 //! control-cycle decision for one stage, including explicit no-ops, and
-//! the manager emits it into any
-//! [`EventSink<DecisionRecord>`](rtds_sim::sink::EventSink) the embedder
-//! attaches. Strictly opt-in: with no sink attached nothing is computed
-//! beyond what the decision itself needed, and simulation outcomes are
-//! identical either way.
+//! the manager records it into the shared
+//! [`BoundedSink<DecisionRecord>`](rtds_sim::sink::BoundedSink) the
+//! embedder attaches with
+//! [`set_decision_sink`](crate::manager::ResourceManager::set_decision_sink).
+//! Strictly opt-in: with no sink attached nothing is computed beyond what
+//! the decision itself needed, and simulation outcomes are identical
+//! either way.
 
 use rtds_sim::ids::NodeId;
 

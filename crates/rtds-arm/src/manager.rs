@@ -36,11 +36,12 @@
 //! `ext_decentralized` measures it against the centralized manager.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use rtds_sim::control::{ControlAction, ControlContext, Controller, PeriodObservation};
 use rtds_sim::ids::{NodeId, SubtaskIdx, TaskId};
 use rtds_sim::metrics::{ForecastResidualStat, ResidualKind};
-use rtds_sim::sink::EventSink;
+use rtds_sim::sink::BoundedSink;
 
 use crate::audit::{CandidateForecast, DecisionArm, DecisionRecord};
 use crate::config::{ArmConfig, Policy};
@@ -130,7 +131,7 @@ pub struct ResourceManager {
     /// Decision-audit sink, when the embedder wants every replicate /
     /// shut-down / no-op choice explained. `None` (the default) skips all
     /// audit bookkeeping.
-    audit: Option<Box<dyn EventSink<DecisionRecord> + Send>>,
+    audit: Option<Arc<Mutex<BoundedSink<DecisionRecord>>>>,
     /// Per-stage Eq. (3) forecast residuals (predictive policy only).
     exec_residuals: Vec<ForecastResidualStat>,
     /// Per-stage Eq. (4) forecast residuals; index j grades stage j's
@@ -197,8 +198,9 @@ impl ResourceManager {
     /// Attaches a decision-audit sink: every subsequent control cycle
     /// emits one [`DecisionRecord`] per replicable stage it acted on (or
     /// explicitly declined to act on). Pure observation — attaching a
-    /// sink never changes any decision.
-    pub fn set_decision_sink(&mut self, sink: Box<dyn EventSink<DecisionRecord> + Send>) {
+    /// sink never changes any decision. The embedder keeps a clone of the
+    /// `Arc` and drains the sink after the run.
+    pub fn set_decision_sink(&mut self, sink: Arc<Mutex<BoundedSink<DecisionRecord>>>) {
         self.audit = Some(sink);
     }
 
@@ -602,7 +604,7 @@ impl ResourceManager {
         before: &[NodeId],
         chosen: &[NodeId],
     ) {
-        let Some(sink) = self.audit.as_mut() else {
+        let Some(sink) = self.audit.as_ref() else {
             return;
         };
         let deadlines = self.deadlines.as_ref().expect("deadlines initialized");
@@ -611,7 +613,9 @@ impl ResourceManager {
         let (candidates, out_of_processors) = alloc
             .map(|a| (a.candidates, a.out_of_processors))
             .unwrap_or_default();
-        sink.record(
+        // A poisoned lock is recovered, not propagated: a panic elsewhere
+        // must not cascade through telemetry.
+        sink.lock().unwrap_or_else(|e| e.into_inner()).record(
             ctx.now,
             DecisionRecord {
                 task: self.task.0,
@@ -775,7 +779,7 @@ mod tests {
             cold: vec![false; utils.len()],
             node_util_pct: utils,
             replicable: vec![task.stages.iter().map(|s| s.replicable).collect()],
-            placements: vec![std::sync::Arc::new(placements)],
+            placements: vec![Arc::new(placements)],
             periods: vec![task.period],
             deadlines: vec![task.deadline],
             last_tracks: vec![tracks],
@@ -955,7 +959,7 @@ mod tests {
             cold: vec![false],
             node_util_pct: vec![60.0],
             replicable: vec![task.stages.iter().map(|s| s.replicable).collect()],
-            placements: vec![std::sync::Arc::new((0..5).map(|_| vec![NodeId(0)]).collect())],
+            placements: vec![Arc::new((0..5).map(|_| vec![NodeId(0)]).collect())],
             periods: vec![task.period],
             deadlines: vec![task.deadline],
             last_tracks: vec![16_000],
@@ -971,12 +975,9 @@ mod tests {
 
     #[test]
     fn decision_sink_explains_replication_with_candidates_and_threshold() {
-        use rtds_sim::sink::BoundedSink;
-        use std::sync::{Arc, Mutex};
-
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
         let mut m = manager(ArmConfig::paper_predictive());
-        m.set_decision_sink(Box::new(Arc::clone(&shared)));
+        m.set_decision_sink(Arc::clone(&shared));
         let c = ctx(vec![15.0; 6], home_placements(), 14_000);
         m.on_period_boundary(&[], &c); // init deadlines
         let obs = obs_with_filter_latency(900.0, 14_000);
@@ -1012,15 +1013,10 @@ mod tests {
 
     #[test]
     fn decision_sink_does_not_change_decisions() {
-        use rtds_sim::sink::BoundedSink;
-        use std::sync::{Arc, Mutex};
-
         let run = |audited: bool| {
             let mut m = manager(ArmConfig::paper_predictive());
             if audited {
-                m.set_decision_sink(Box::new(Arc::new(Mutex::new(
-                    BoundedSink::<DecisionRecord>::bounded(256),
-                ))));
+                m.set_decision_sink(Arc::new(Mutex::new(BoundedSink::bounded(256))));
             }
             let c = ctx(vec![15.0; 6], home_placements(), 14_000);
             let mut all = m.on_period_boundary(&[], &c);
@@ -1034,13 +1030,27 @@ mod tests {
     }
 
     #[test]
-    fn nonpredictive_decisions_name_candidates_without_forecasts() {
-        use rtds_sim::sink::BoundedSink;
-        use std::sync::{Arc, Mutex};
+    fn decision_sink_records_through_a_poisoned_lock() {
+        let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
+        let poisoner = Arc::clone(&shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poisoning the decision sink");
+        })
+        .join();
+        assert!(shared.is_poisoned());
+        let mut m = manager(ArmConfig::paper_predictive());
+        m.set_decision_sink(Arc::clone(&shared));
+        m.on_period_boundary(&[], &ctx(vec![15.0; 6], home_placements(), 14_000));
+        let sink = shared.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!sink.events().is_empty(), "the init cycle's records were lost");
+    }
 
+    #[test]
+    fn nonpredictive_decisions_name_candidates_without_forecasts() {
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
         let mut m = manager(ArmConfig::paper_nonpredictive());
-        m.set_decision_sink(Box::new(Arc::clone(&shared)));
+        m.set_decision_sink(Arc::clone(&shared));
         let utils = vec![10.0, 30.0, 15.0, 25.0, 5.0, 2.0];
         let c = ctx(utils, home_placements(), 14_000);
         m.on_period_boundary(&[], &c);
@@ -1066,14 +1076,11 @@ mod tests {
 
     #[test]
     fn shutdown_decision_is_recorded() {
-        use rtds_sim::sink::BoundedSink;
-        use std::sync::{Arc, Mutex};
-
         let mut cfg = ArmConfig::paper_predictive();
         cfg.monitor.shutdown_patience = 2;
         let shared = Arc::new(Mutex::new(BoundedSink::<DecisionRecord>::bounded(64)));
         let mut m = ResourceManager::new(cfg, predictor());
-        m.set_decision_sink(Box::new(Arc::clone(&shared)));
+        m.set_decision_sink(Arc::clone(&shared));
         let mut placements = home_placements();
         placements[FILTER_STAGE] = vec![NodeId(2), NodeId(5)];
         let c = ctx(vec![10.0; 6], placements, 1_000);

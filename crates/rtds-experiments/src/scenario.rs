@@ -312,7 +312,7 @@ fn policy_controller(
         .observe
         .then(|| Arc::new(Mutex::new(BoundedSink::bounded(OBSERVE_CAPACITY))));
     if let Some(sink) = &sink {
-        manager.set_decision_sink(Box::new(Arc::clone(sink)));
+        manager.set_decision_sink(Arc::clone(sink));
     }
     (Box::new(manager), sink)
 }

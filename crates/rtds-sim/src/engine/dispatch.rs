@@ -238,7 +238,7 @@ impl DispatchEngine {
             }
         } else {
             let prio = job.priority;
-            self.nodes[node.index()].sched.requeue(running.job, prio);
+            self.nodes[node.index()].sched.enqueue(running.job, prio);
         }
         self.try_dispatch(k, now, node);
     }

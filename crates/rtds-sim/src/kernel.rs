@@ -26,7 +26,7 @@ use crate::lane::Lanes;
 use crate::metrics::RunMetrics;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
-use crate::sink::{BoundedSink, EventSink};
+use crate::sink::BoundedSink;
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 

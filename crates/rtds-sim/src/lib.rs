@@ -96,8 +96,8 @@ pub mod prelude {
     pub use crate::perf::PerfReport;
     pub use crate::pipeline::{PolynomialCost, StageSpec, TaskSpec};
     pub use crate::rng::SimRng;
-    pub use crate::sched::{CpuScheduler, SchedulerKind};
-    pub use crate::sink::{BoundedSink, EventSink};
+    pub use crate::sched::SchedulerKind;
+    pub use crate::sink::BoundedSink;
     pub use crate::trace::TraceEvent;
     pub use crate::time::{SimDuration, SimTime};
 }

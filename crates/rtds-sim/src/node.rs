@@ -7,7 +7,7 @@
 
 use crate::event::EventHandle;
 use crate::ids::{JobId, NodeId};
-use crate::sched::CpuScheduler;
+use crate::sched::ReadyQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// The job currently holding the CPU and the slice it was granted.
@@ -33,8 +33,8 @@ pub struct Running {
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
-    /// Ready-queue policy.
-    pub sched: Box<dyn CpuScheduler>,
+    /// Ready queue under the cluster's scheduling policy.
+    pub sched: ReadyQueue,
     /// Currently running job, if any.
     pub running: Option<Running>,
     /// False once the node has been killed by fault injection; a dead
@@ -69,8 +69,8 @@ impl Node {
     /// post-restart zeros, not by real load.
     pub const COLD_SAMPLES: u32 = 3;
 
-    /// Creates an idle node with the given scheduling policy.
-    pub fn new(id: NodeId, sched: Box<dyn CpuScheduler>) -> Self {
+    /// Creates an idle node with the given (empty) ready queue.
+    pub fn new(id: NodeId, sched: ReadyQueue) -> Self {
         Node {
             id,
             sched,
@@ -96,7 +96,9 @@ impl Node {
         debug_assert!(!self.alive, "restarting a node that is alive");
         self.alive = true;
         self.running = None;
-        while self.sched.pick().is_some() {}
+        // `FaultEngine::kill_node` drained the queue, failing the lost
+        // jobs' instances and freeing their slots.
+        debug_assert_eq!(self.sched.ready_len(), 0, "restarting a node with ready jobs");
         self.busy_since = None;
         self.util_ewma = 0.0;
         self.sampled_busy = self.busy_accum;

@@ -1,40 +1,18 @@
 //! Event sinks: the one bounded buffer for observed events.
 //!
-//! [`EventSink`] is anything that accepts `(time, event)` pairs; the
-//! resource manager records its decision audit through it, behind an
-//! `Arc<Mutex<_>>` shared with the embedder. [`BoundedSink`] is the one
-//! buffer type behind both observed streams: the simulator's event trace
-//! ([`crate::trace::TraceEvent`]) and the manager's decision records.
-//! The two differ only in their retention rule, which the sink owns.
+//! [`BoundedSink`] is the one buffer type behind both observed streams:
+//! the simulator's event trace ([`crate::trace::TraceEvent`]), which the
+//! kernel owns, and the resource manager's decision records, which the
+//! manager records into behind an `Arc<Mutex<_>>` shared with the
+//! embedder. The two differ only in their retention rule, which the sink
+//! owns.
 //!
 //! Sinks are strictly opt-in and must never influence the simulation:
-//! implementations record and step aside. Nothing in this module draws
-//! randomness or feeds back into event ordering, so a run with sinks
-//! attached is byte-identical to the same run without them.
+//! they record and step aside. Nothing in this module draws randomness
+//! or feeds back into event ordering, so a run with sinks attached is
+//! byte-identical to the same run without them.
 
 use crate::time::SimTime;
-
-/// A consumer of timestamped events.
-///
-/// `record` is called in nondecreasing time order, once per event, and
-/// must not fail loudly — a sink that hits an internal limit (e.g. a full
-/// buffer) degrades by dropping events and exposing a counter, never by
-/// panicking into the simulation.
-pub trait EventSink<E> {
-    /// Accepts one event observed at simulated time `now`.
-    fn record(&mut self, now: SimTime, event: E);
-}
-
-/// Every sink behind `Arc<Mutex<_>>` is itself a sink; this is how one
-/// sink is shared between the embedder (which drains it after the run)
-/// and a producer that is consumed by the simulation (a boxed
-/// controller, typically). Lock poisoning is recovered, not propagated:
-/// a panic elsewhere must not cascade through telemetry.
-impl<E, S: EventSink<E>> EventSink<E> for std::sync::Arc<std::sync::Mutex<S>> {
-    fn record(&mut self, now: SimTime, event: E) {
-        self.lock().unwrap_or_else(|e| e.into_inner()).record(now, event);
-    }
-}
 
 /// A bounded in-memory sink for any event type.
 ///
@@ -83,6 +61,18 @@ impl<E> BoundedSink<E> {
         &self.events
     }
 
+    /// Accepts one event observed at simulated time `now`. Producers call
+    /// this in nondecreasing time order. A full sink never fails loudly:
+    /// it drops the event and counts it in [`Self::dropped`], unless the
+    /// retention rule keeps it.
+    pub fn record(&mut self, now: SimTime, event: E) {
+        if self.events.len() < self.capacity || (self.keep)(&event) {
+            self.events.push((now, event));
+        } else {
+            self.dropped += 1;
+        }
+    }
+
     /// Consumes the sink, yielding its events.
     pub fn into_events(self) -> Vec<(SimTime, E)> {
         self.events
@@ -94,20 +84,9 @@ impl<E> BoundedSink<E> {
     }
 }
 
-impl<E> EventSink<E> for BoundedSink<E> {
-    fn record(&mut self, now: SimTime, event: E) {
-        if self.events.len() < self.capacity || (self.keep)(&event) {
-            self.events.push((now, event));
-        } else {
-            self.dropped += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
     #[test]
     fn bounded_sink_stores_in_order_and_drops_overflow() {
@@ -139,13 +118,5 @@ mod tests {
         let kept: Vec<u32> = s.events().iter().map(|&(_, e)| e).collect();
         assert_eq!(kept, [0, 2, 1, 3, 5], "2 ordinary + every accepted event, in order");
         assert_eq!(s.dropped(), 4, "the ordinary events past capacity");
-    }
-
-    #[test]
-    fn shared_sink_records_through_the_mutex() {
-        let shared = Arc::new(Mutex::new(BoundedSink::bounded(4)));
-        let mut handle = Arc::clone(&shared);
-        handle.record(SimTime::from_millis(3), 42u32);
-        assert_eq!(shared.lock().unwrap().events(), &[(SimTime::from_millis(3), 42)]);
     }
 }

@@ -179,7 +179,6 @@ impl BoundedSink<TraceEvent> {
 mod tests {
     use super::*;
     use crate::ids::{SubtaskIdx, TaskId};
-    use crate::sink::EventSink;
     use crate::time::SimTime;
 
     fn stage() -> StageId {
