@@ -9,9 +9,11 @@
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// A deterministic RNG stream.
+/// A deterministic RNG stream. It counts its draws (see
+/// [`SimRng::draws`]), so the perf layer can pin how many a run makes.
 pub struct SimRng {
     inner: ChaCha8Rng,
+    draws: u64,
 }
 
 impl SimRng {
@@ -39,12 +41,21 @@ impl SimRng {
         seed[24..32].copy_from_slice(&d.to_le_bytes());
         SimRng {
             inner: ChaCha8Rng::from_seed(seed),
+            draws: 0,
         }
+    }
+
+    /// Draws taken from this stream so far: one per `uniform`, `below`
+    /// or `next_u64` call (so two per normal draw, one per exponential
+    /// or Bernoulli draw).
+    pub fn draws(&self) -> u64 {
+        self.draws
     }
 
     /// Uniform draw in `[0, 1)`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
+        self.draws += 1;
         self.inner.random::<f64>()
     }
 
@@ -64,6 +75,7 @@ impl SimRng {
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
+        self.draws += 1;
         self.inner.random_range(0..n)
     }
 
@@ -102,6 +114,7 @@ impl SimRng {
     /// Raw 64-bit draw (for deriving child seeds).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
         self.inner.next_u64()
     }
 }
@@ -180,6 +193,19 @@ mod tests {
             seen[r.below(5) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn draws_count_every_call() {
+        let mut r = SimRng::from_seed_stream(5, 0);
+        assert_eq!(r.draws(), 0);
+        r.uniform();
+        r.below(7);
+        r.next_u64();
+        r.exponential(2.0);
+        r.chance(0.5);
+        r.normal(0.0, 1.0);
+        assert_eq!(r.draws(), 7, "a normal draw takes two uniforms");
     }
 
     #[test]

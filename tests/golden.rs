@@ -123,6 +123,16 @@ fn every_pattern_series_matches_its_digest() {
     assert_eq!(fnv1a64(&bytes), 0x15c3_0395_7c73_0d85, "a workload pattern's series changed");
 }
 
+/// The profiling campaign behind `profile.json`, `tables`, `fig2`–`fig4`
+/// and every fitted predictor: single-node probe clusters whose stage
+/// jobs share the CPU with fixed-interval background load. Hashes its
+/// JSON rendering (raw samples and fitted models).
+#[test]
+fn profile_campaign_matches_its_digest() {
+    let json = rtds::experiments::models::run_campaign().to_json();
+    assert_eq!(fnv1a64(json.as_bytes()), 0xba60_c214_6238_313b, "the profiling campaign changed");
+}
+
 /// Quick predictive runs under every `SchedulerKind`, each with ambient
 /// load on (stage jobs at priority 0 share nodes with background jobs at
 /// priority 1), and once more with a lossy bus plus a crash–restart of

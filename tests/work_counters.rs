@@ -1,7 +1,8 @@
 //! Exact deterministic work counters of two small fixed clusters.
 //!
 //! The counters a `PerfReport` carries — heap traffic, events by kind,
-//! and the three lane-fire counts — are exact functions of the inputs,
+//! the three lane-fire counts and the RNG draws — are exact functions of
+//! the inputs,
 //! so any change to how the simulator schedules work (rather than how
 //! long it takes) shows here as a mismatch. A refactor of the event
 //! loop or the virtual lanes must leave every value below unchanged.
@@ -35,6 +36,7 @@ fn counters(mut cluster: Cluster) -> String {
     words.push(format!("elided_dispatches={}", p.elided_dispatches));
     words.push(format!("elided_bg_polls={}", p.elided_bg_polls));
     words.push(format!("elided_bg_dispatches={}", p.elided_bg_dispatches));
+    words.push(format!("rng_draws={}", p.rng_draws));
     words.join(" ")
 }
 
@@ -63,7 +65,7 @@ fn paper_baseline_with_ambient_load_and_predictive_controller() {
         counters(cluster),
         "scheduled=2735 popped=2735 cancelled=0 period_release=41 dispatch=2114 \
          tx_complete=179 deliver=182 clock_sync=4 sample=400 elided_dispatches=22566 \
-         elided_bg_polls=12126 elided_bg_dispatches=14036"
+         elided_bg_polls=12126 elided_bg_dispatches=14036 rng_draws=24294"
     );
 }
 
@@ -81,6 +83,32 @@ fn ambient_only_round_robin_cluster() {
     assert_eq!(
         counters(cluster),
         "scheduled=101 popped=101 cancelled=0 clock_sync=1 sample=100 \
-         elided_dispatches=25386 elided_bg_polls=47809 elided_bg_dispatches=94936"
+         elided_dispatches=25386 elided_bg_polls=47809 elided_bg_dispatches=94936 rng_draws=95682"
+    );
+}
+
+#[test]
+fn ambient_only_cluster_with_a_crash_restart_and_a_permanent_failure() {
+    // Eight task-less round-robin (1 ms) nodes under 60 % Poisson load.
+    // Node 2 crashes at 1.5 s and restarts 0.75 s later; node 5 fails for
+    // good at 3.25 s. Both nodes run background work only, so a kill
+    // that finds one busy tears its pending slice boundary down with it.
+    let mut cluster = Cluster::new(ClusterConfig {
+        n_nodes: 8,
+        ..ClusterConfig::paper_baseline(11, SimDuration::from_secs(5))
+    });
+    for n in 0..8 {
+        cluster.add_load(poisson(n, 0.6));
+    }
+    cluster.crash_node_at(
+        NodeId(2),
+        SimTime::from_millis(1_500),
+        Some(SimDuration::from_millis(750)),
+    );
+    cluster.fail_node_at(NodeId(5), SimTime::from_millis(3_250));
+    assert_eq!(
+        counters(cluster),
+        "scheduled=54 popped=53 cancelled=0 sample=50 node_fail=1 node_crash=1 node_restart=1 \
+         elided_dispatches=5841 elided_bg_polls=11314 elided_bg_dispatches=22777 rng_draws=22648"
     );
 }
