@@ -4,7 +4,7 @@
 //! permanent failures (`NodeFail`) and crash–restart cycles (`NodeCrash`
 //! / `NodeRestart`) both go through [`FaultEngine::kill_node`], so the
 //! teardown semantics — lost jobs, failed instances, dead virtual lanes
-//! — cannot drift between the two. A crash additionally tears down the
+//! and node-local boundaries — cannot drift between the two. A crash additionally tears down the
 //! dead node's bus traffic, and a restart re-arms its dormant background
 //! generators and reports the node as cold until its utilization
 //! estimate warms back up.
@@ -45,10 +45,13 @@ impl FaultEngine {
         if !dispatch.nodes[node.index()].alive {
             return false;
         }
+        // Boundaries that precede the kill still run; the rest die with
+        // the node, on its lane (the heap entry goes stale) or node-local.
+        dispatch.catch_up(k, node);
+        dispatch.drop_lazy(node.index());
         dispatch.nodes[node.index()].alive = false;
         k.record_trace(now, TraceEvent::NodeFailed { node });
         let mut lost: Vec<JobId> = Vec::new();
-        // The node's lane dies with it; its heap entry goes stale.
         k.lanes.disarm(LaneRef::Dispatch(node.index() as u32));
         if let Some(running) = dispatch.nodes[node.index()].running.take() {
             if let Some(h) = running.dispatch_handle {
@@ -160,9 +163,10 @@ mod tests {
 
     fn harness() -> (SimKernel, DispatchEngine, NetEngine, LoadEngine, TaskTable, FaultEngine) {
         let cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
-        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, true);
+        let mut dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, true);
         let net = NetEngine::new(cfg.bus);
         let k = SimKernel::new(cfg);
+        dispatch.start_run();
         let mut load = LoadEngine::default();
         load.gens.push(Box::new(PeriodicLoad::new(
             LoadGenId(0),
@@ -188,7 +192,7 @@ mod tests {
     #[test]
     fn kill_node_tears_down_lanes_running_job_and_queue() {
         let (mut k, mut dispatch, _net, _load, mut tasks, mut fault) = harness();
-        // Two background jobs: one runs (with an elided boundary under
+        // Two background jobs: one runs (with a node-local boundary under
         // the fast path), one queues.
         for _ in 0..2 {
             dispatch.admit_job(
@@ -205,6 +209,7 @@ mod tests {
         fault.kill_node(&mut k, &mut dispatch, &mut tasks, SimTime::from_millis(1), NodeId(0));
         assert!(dispatch.nodes[0].running.is_none());
         assert_eq!(k.lanes.key(LaneRef::Dispatch(0)), None);
+        assert_eq!(dispatch.lazy_nodes, 0, "the node-local boundary died too");
         assert_eq!(
             dispatch.jobs.iter().filter(|j| j.is_some()).count(),
             0,

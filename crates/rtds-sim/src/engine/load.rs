@@ -6,7 +6,10 @@
 //! oracle `Cluster::reference`); either way it fires through
 //! [`LoadEngine::on_bg_poll`], so both paths draw the generator at the
 //! same program point with the same RNG stream and are byte-identical by
-//! construction.
+//! construction. Polls stay in global order because they share that
+//! stream. The slice boundaries of a background-only node draw nothing,
+//! so they are node-local: a poll's admission first replays its node's
+//! boundaries up to the poll (`DispatchEngine::catch_up`).
 
 use crate::engine::dispatch::DispatchEngine;
 use crate::engine::tasks::TaskTable;

@@ -385,9 +385,10 @@ mod tests {
     fn harness(bus: BusConfig) -> (SimKernel, DispatchEngine, NetEngine, TaskTable) {
         let mut cfg = ClusterConfig::paper_baseline(7, SimDuration::from_secs(10));
         cfg.bus = bus;
-        let dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, true);
+        let mut dispatch = DispatchEngine::new(cfg.n_nodes, &cfg.scheduler, true);
         let net = NetEngine::new(cfg.bus);
         let k = SimKernel::new(cfg);
+        dispatch.start_run();
         let mut tasks = TaskTable::default();
         let mut rt = TaskRuntime::new(two_stage_spec());
         let mut inst = InstanceState::new(0, SimTime::ZERO, 100, Arc::clone(&rt.placement));

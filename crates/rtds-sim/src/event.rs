@@ -5,6 +5,12 @@
 //! the same inputs pop events in exactly the same order — a prerequisite for
 //! reproducible experiments.
 //!
+//! Allocated sequence numbers are odd (1, 3, 5, …). The even number just
+//! below the next one, [`EventQueue::tie_seq`], is a *tie slot*: an event
+//! that was never scheduled, recorded with the tie slot current when it
+//! would have been, sorts after everything allocated before that point and
+//! before everything allocated after it — the order it would have had.
+//!
 //! The heap is the kernel's shared one (`kheap::KHeap`), keyed by the packed
 //! `(time, seq)`; its entries are small `Copy` records naming a slot, and
 //! the event payload waits in that slot of a generation-stamped slot
@@ -103,7 +109,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: KHeap::with_capacity(cap),
-            seq: 0,
+            seq: 1,
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
             tombstones: 0,
@@ -181,13 +187,22 @@ impl<E> EventQueue<E> {
     /// is bit-identical to the unelided execution.
     pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.seq;
-        self.seq += 1;
+        self.seq += 2;
         seq
     }
 
+    /// The tie slot between the last allocated sequence number and the
+    /// next (see the module docs). Allocates nothing; an event keyed with
+    /// it may be scheduled through [`schedule_at_seq`](Self::schedule_at_seq).
+    #[inline]
+    pub fn tie_seq(&self) -> u64 {
+        self.seq - 1
+    }
+
     /// Schedules `event` at `at` under a sequence number previously
-    /// obtained from [`alloc_seq`](Self::alloc_seq), re-materializing an
-    /// elided event in its original tie-break position.
+    /// obtained from [`alloc_seq`](Self::alloc_seq) or
+    /// [`tie_seq`](Self::tie_seq), re-materializing an elided event in its
+    /// original tie-break position.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the last popped event time.
@@ -197,7 +212,7 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at}, now={}",
             self.last_popped
         );
-        debug_assert!(seq < self.seq, "seq was not allocated by alloc_seq");
+        debug_assert!(seq < self.seq, "seq was not allocated by alloc_seq or tie_seq");
         self.insert(at, seq, event)
     }
 
@@ -362,9 +377,26 @@ mod tests {
         let seq = q.alloc_seq();
         q.schedule(t, "B");
         q.schedule_at_seq(t, seq, "E");
-        assert_eq!(q.peek_key().map(|(_, s)| s), Some(0));
+        assert_eq!(q.peek_key().map(|(_, s)| s), Some(1));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["A", "E", "B"]);
+    }
+
+    #[test]
+    fn tie_slots_sort_between_the_allocations_around_them() {
+        // L0 is keyed before anything was allocated, L1 between A and B;
+        // neither allocates, and both land where a schedule would have.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        let before_all = q.tie_seq();
+        q.schedule(t, "A");
+        let between = q.tie_seq();
+        assert_eq!(q.tie_seq(), between, "taking a tie slot allocates nothing");
+        q.schedule(t, "B");
+        q.schedule_at_seq(t, between, "L1");
+        q.schedule_at_seq(t, before_all, "L0");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["L0", "A", "L1", "B"]);
     }
 
     #[test]
@@ -421,7 +453,7 @@ mod tests {
         let h = q.schedule(SimTime::from_micros(5), "x");
         q.schedule(SimTime::from_micros(9), "y");
         q.cancel(h);
-        assert_eq!(q.peek_key(), Some((SimTime::from_micros(9), 1)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_micros(9), 3)));
     }
 
     #[test]

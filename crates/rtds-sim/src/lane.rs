@@ -4,9 +4,15 @@
 //! until it fires, so it need not sit in the global [`EventQueue`]. There
 //! are two kinds, each named by the event it stands for:
 //!
-//! - one per node: its next `Dispatch` (a lone job's quantum chain, or
-//!   the slice boundary of a node running only background work);
-//! - one per background generator: its next `BgPoll`.
+//! - one per background generator: its next `BgPoll`;
+//! - one per node with stage jobs: its lone job's quantum chain (on the
+//!   reference path, any node's).
+//!
+//! A node running only background work arms no node lane: its slice
+//! boundaries draw no randomness and no other node sees them, so they
+//! stay node-local and are replayed only when something observes the node
+//! (see `crate::engine::dispatch`). Polls stay here, in global order,
+//! because every poll draws from the kernel's shared RNG stream.
 //!
 //! [`Lanes`] owns each lane's live `(at, seq)` key and a lazy min-heap
 //! over the keys, the kernel's shared [`KHeap`]. The seq is allocated
@@ -21,7 +27,7 @@
 //! The common path fires a lane and re-arms it from the handler: the
 //! fired entry is still the heap top, so `arm` rewrites it in place — one
 //! sift, no push. Stale entries only arise from rare mode transitions
-//! (a boundary materialized as a real event, a dead node, a retired
+//! (a chain materialized as a real event, a dead node, a retired
 //! generator).
 //!
 //! [`EventQueue`]: crate::event::EventQueue
@@ -64,7 +70,7 @@ pub(crate) type LaneKey = (SimTime, u64);
 #[derive(Debug, Default)]
 pub(crate) struct Lanes {
     heap: KHeap<LaneEntry>,
-    /// Live key of each node's `Dispatch` lane.
+    /// Live key of each node's `Dispatch` lane (a quantum chain).
     dispatch: Vec<Option<LaneKey>>,
     /// Live key of each generator's `BgPoll` lane.
     bg_poll: Vec<Option<LaneKey>>,
