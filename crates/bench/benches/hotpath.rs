@@ -3,9 +3,14 @@
 //! queue churn under cancellation (tombstone compaction), and the
 //! incremental RLS refit.
 //!
-//! CI runs this in quick mode and compares against the last record of
-//! the checked-in `BENCH_hotpath.json` trajectory (see
-//! `scripts/check_bench_regression.py`); record a new baseline with:
+//! The first row, `hotpath/reference_kernel`, times a fixed kernel that
+//! uses none of the workspace's code, so it measures only how fast the
+//! host runs right now. CI runs this bench in quick mode and compares
+//! every row, divided by the reference row of its own run, against the
+//! same ratio in the last record of the checked-in `BENCH_hotpath.json`
+//! trajectory (see `scripts/check_bench_regression.py`). A slower or
+//! loaded host slows both sides of the ratio, so the gate holds across
+//! hosts. Record a new baseline (full budget, all rows) with:
 //!
 //! ```text
 //! cargo bench -p rtds-bench --bench hotpath -- --save-json /tmp/hotpath.json
@@ -13,7 +18,8 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtds_bench::{bench_bg_heavy_scenario, bench_predictor, bench_scenario, run_large_cluster};
+use rtds_bench::{bench_bg_heavy_scenario, bench_scenario, run_large_cluster};
+use rtds_experiments::models::quick_predictor;
 use rtds_experiments::scenario::{run_scenario, PatternSpec, PolicySpec};
 use rtds_regression::RecursiveLeastSquares;
 use rtds_sim::event::EventQueue;
@@ -23,10 +29,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(10);
 
+    // Host calibration: the gate divides every other row by this one.
+    assert_eq!(reference::kernel(), reference::CHECKSUM, "the reference kernel did not do its work");
+    g.bench_function("reference_kernel", |b| b.iter(reference::kernel));
+
     // End-to-end evaluation run: the unit of work behind every figure
     // sweep point. Dominated by the dispatch/bg-poll hot loop, so this is
     // where the virtual dispatch chains and scratch buffers show up.
-    let predictor = bench_predictor();
+    let predictor = quick_predictor();
     for policy in [PolicySpec::None, PolicySpec::Predictive] {
         let cfg = bench_scenario(PatternSpec::Triangular { half_period: 10 }, policy);
         g.bench_with_input(
@@ -100,6 +110,76 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
+}
+
+/// The host-speed reference kernel, copied from perfbench's `calib.rs`:
+/// sorts of random keys (unpredictable branches) plus a binary-heap event
+/// loop over a 256 KiB table. It must stay a verbatim copy, so that a row's
+/// ratio to it means the same here as perfbench's calibrated times.
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::hint::black_box;
+
+    /// Checksum of one kernel run; a different value means the kernel did
+    /// not do its work.
+    pub const CHECKSUM: u64 = 133_921_738_977_946;
+
+    /// Sorts of `SORT_LEN` random keys.
+    const SORTS: usize = 2000;
+    const SORT_LEN: usize = 2000;
+    /// Pop-push steps of the heap event loop.
+    const HEAP_STEPS: usize = 1_500_000;
+    /// Live events in the heap, as many as nodes × event kinds in a run.
+    const HEAP_EVENTS: u32 = 64;
+    /// State table the events update: 256 KiB.
+    const TABLE_WORDS: usize = 32 * 1024;
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    fn sorts() -> u64 {
+        let mut s = 3u64;
+        let mut acc = 0u64;
+        let mut keys = vec![0u32; SORT_LEN];
+        for _ in 0..SORTS {
+            for k in keys.iter_mut() {
+                *k = xorshift(&mut s) as u32;
+            }
+            black_box(&mut keys).sort_unstable();
+            acc = acc.wrapping_add(u64::from(keys[SORT_LEN / 2]));
+        }
+        acc
+    }
+
+    fn event_loop() -> u64 {
+        let mut s = 1u64;
+        let mut table = vec![0u64; TABLE_WORDS];
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..HEAP_EVENTS)
+            .map(|id| Reverse((xorshift(&mut s) % 1000, id)))
+            .collect();
+        let mut acc = 0u64;
+        for _ in 0..HEAP_STEPS {
+            let Some(Reverse((t, id))) = heap.pop() else {
+                break;
+            };
+            let r = xorshift(&mut s);
+            let k = (r as usize) & (TABLE_WORDS - 1);
+            table[k] = table[k].wrapping_add(t);
+            acc = acc.wrapping_add(table[(k * 7 + id as usize) & (TABLE_WORDS - 1)]);
+            heap.push(Reverse((t + 1 + r % 1000, id)));
+        }
+        acc
+    }
+
+    /// Runs the kernel once; returns its checksum.
+    pub fn kernel() -> u64 {
+        black_box(sorts()) ^ black_box(event_loop())
+    }
 }
 
 criterion_group!(benches, bench);

@@ -13,24 +13,44 @@ is a row as criterion's --save-json writes it ({"name", "ns_per_iter",
 shape --save-json writes); a trajectory is compared through its last
 record.
 
-Fails (exit 1) if any benchmark present in both files is more than
-FACTOR (default 2.0) slower than its baseline mean. A generous factor is
-deliberate: CI runners are noisy and the guarded optimizations are all
-well beyond 2x, so anything that trips this is a real regression, not
-jitter. Benchmarks present in only one file are reported but never fatal,
-so adding or retiring a bench does not require touching the baseline in
-the same commit.
+Every run carries a reference row, hotpath/reference_kernel: a fixed
+kernel that uses none of the workspace's code, so it times only the host.
+Each other row is compared as a ratio to its own run's reference row:
 
-With --append REV the current run is added to the baseline file as a new
-record {"rev": REV, "entries": [...]} after the comparison, whatever its
-outcome; earlier records are kept. Record a new baseline (on a quiet
-machine) with:
+    normalized = (cur / cur_ref) / (base / base_ref)
+
+A slower or busier host slows a row and the reference alike, so the
+normalized ratio is about 1 on any host, while the raw ratio cur / base
+is printed for information only. Fails (exit 1) if any row present in
+both files has a normalized ratio above FACTOR (default 2.0). A generous
+factor is deliberate: the host's load can shift between the reference row
+and a later row, and the guarded optimizations are all well beyond 2x, so
+anything that trips this is a real regression, not jitter. Rows present in
+only one file are reported but never fatal, so adding or retiring a bench
+does not require touching the baseline in the same commit.
+
+Exits 2 if either side has no reference row. A baseline without one is
+fixed by recording a new baseline: run the full bench (no --quick, no
+filter) and append it as a new record with --append REV. With --append
+the current run is added to the baseline file as a new record {"rev": REV,
+"entries": [...]} after the comparison, whatever its outcome; earlier
+records are kept, and a baseline without a reference row is then not an
+error (there is nothing to compare against yet). Record a new baseline
+(on a quiet machine) with:
     cargo bench -p rtds-bench --bench hotpath -- --save-json /tmp/hotpath.json
     python3 scripts/check_bench_regression.py BENCH_hotpath.json /tmp/hotpath.json --append <rev>
 """
 
 import json
 import sys
+
+REFERENCE = "hotpath/reference_kernel"
+
+RECORD_HINT = (
+    "record a baseline with a reference row:\n"
+    "    cargo bench -p rtds-bench --bench hotpath -- --save-json /tmp/hotpath.json\n"
+    "    python3 scripts/check_bench_regression.py BENCH_hotpath.json /tmp/hotpath.json --append <rev>"
+)
 
 
 def read(path):
@@ -46,7 +66,7 @@ def latest_rows(doc):
 
 
 def by_name(rows):
-    return {row["name"]: row for row in rows}
+    return {row["name"]: row["ns_per_iter"] for row in rows}
 
 
 def append_record(path, rev, rows):
@@ -61,6 +81,28 @@ def append_record(path, rev, rows):
             f.write(",\n".join(lines))
             f.write("\n  ]}" + ("," if i + 1 < len(records) else "") + "\n")
         f.write("]}\n")
+
+
+def compare(baseline, current, factor):
+    """Prints the table; returns the names of rows above `factor`."""
+    base_ref, cur_ref = baseline[REFERENCE], current[REFERENCE]
+    failures = []
+    print(f"{'benchmark':45} {'baseline':>12} {'current':>12} {'raw':>7} {'norm':>7}")
+    for name in sorted(baseline.keys() | current.keys()):
+        if name not in baseline:
+            print(f"{name:45} {'-':>12} {current[name]:12.0f}   (new)")
+            continue
+        if name not in current:
+            print(f"{name:45} {baseline[name]:12.0f} {'-':>12}   (retired)")
+            continue
+        base, cur = baseline[name], current[name]
+        raw = cur / base if base > 0 else float("inf")
+        norm = raw * base_ref / cur_ref
+        flag = "  FAIL" if norm > factor else ""
+        print(f"{name:45} {base:12.0f} {cur:12.0f} {raw:6.2f}x {norm:6.2f}x{flag}")
+        if norm > factor:
+            failures.append(name)
+    return failures
 
 
 def main(argv):
@@ -82,22 +124,18 @@ def main(argv):
     current_rows = latest_rows(read(current_path))
     current = by_name(current_rows)
 
-    failures = []
-    print(f"{'benchmark':45} {'baseline':>12} {'current':>12} {'ratio':>7}")
-    for name in sorted(baseline.keys() | current.keys()):
-        if name not in baseline:
-            print(f"{name:45} {'-':>12} {current[name]['ns_per_iter']:12.0f}   (new)")
-            continue
-        if name not in current:
-            print(f"{name:45} {baseline[name]['ns_per_iter']:12.0f} {'-':>12}   (retired)")
-            continue
-        base_ns = baseline[name]["ns_per_iter"]
-        cur_ns = current[name]["ns_per_iter"]
-        ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
-        flag = "  FAIL" if ratio > factor else ""
-        print(f"{name:45} {base_ns:12.0f} {cur_ns:12.0f} {ratio:6.2f}x{flag}")
-        if ratio > factor:
-            failures.append((name, ratio))
+    if REFERENCE not in current:
+        print(f"{current_path} has no {REFERENCE} row; run the hotpath bench without a filter",
+              file=sys.stderr)
+        return 2
+    if REFERENCE in baseline:
+        failures = compare(baseline, current, factor)
+    elif append_rev is not None:
+        print(f"{baseline_path}: last record has no {REFERENCE} row; appending without a comparison")
+        failures = []
+    else:
+        print(f"{baseline_path}: last record has no {REFERENCE} row; {RECORD_HINT}", file=sys.stderr)
+        return 2
 
     if append_rev is not None:
         append_record(baseline_path, append_rev, current_rows)
@@ -106,11 +144,11 @@ def main(argv):
     if failures:
         print(
             f"\n{len(failures)} benchmark(s) regressed more than {factor}x "
-            f"against {baseline_path}",
+            f"(normalized to {REFERENCE}) against {baseline_path}",
             file=sys.stderr,
         )
         return 1
-    print(f"\nok: no benchmark exceeded {factor}x of baseline")
+    print(f"\nok: no benchmark exceeded {factor}x of baseline, normalized to {REFERENCE}")
     return 0
 
 
