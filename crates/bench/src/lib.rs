@@ -1,14 +1,12 @@
-//! # rtds-bench — benchmark harness
+//! # rtds-bench — hot-path bench harness
 //!
-//! Criterion benches, one per table/figure of the paper plus
-//! micro-benches of the hot substrate paths and the DESIGN.md ablations.
-//! Shared scenario builders live here so every bench measures the same
-//! configurations the experiments report.
+//! The scenario builders behind `benches/hotpath.rs`, the one criterion
+//! bench: it guards the simulator core's hot paths, gated in CI against a
+//! host reference kernel. The paper's tables and figures are timed by
+//! `run_all NAME --perf` and perfbench instead.
 
 #![forbid(unsafe_code)]
 
-use rtds_arm::predictor::Predictor;
-use rtds_experiments::models::quick_predictor;
 use rtds_experiments::scenario::{PatternSpec, PolicySpec, ScenarioConfig};
 use rtds_sim::cluster::{Cluster, ClusterApi, ClusterConfig};
 use rtds_sim::ids::{LoadGenId, NodeId};
@@ -53,10 +51,4 @@ pub fn run_large_cluster(n_nodes: usize) -> RunMetrics {
         )));
     }
     cluster.run().metrics
-}
-
-/// The predictor every bench shares (analytic: no profiling in the timed
-/// path).
-pub fn bench_predictor() -> Predictor {
-    quick_predictor()
 }

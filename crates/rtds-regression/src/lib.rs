@@ -40,5 +40,5 @@ pub use linear::{MultipleLinear, SimpleLinear};
 pub use matrix::{Matrix, SolveError};
 pub use model::{ExecLatencyModel, LatencySample};
 pub use polyfit::Polynomial;
-pub use stats::{fit_stats, mean, pearson, residuals, std_dev, variance, FitStats};
+pub use stats::{fit_stats, mean, residuals, FitStats};
 pub use validate::{cross_validate, CrossValidation, FitMethod, PredictionBand};

@@ -33,42 +33,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance. Returns 0 for fewer than two points.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Pearson correlation coefficient; 0 when either side is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx).powi(2);
-        syy += (y - my).powi(2);
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx * syy).sqrt()
-}
-
 /// Residuals `observed − predicted`.
 pub fn residuals(observed: &[f64], predicted: &[f64]) -> Vec<f64> {
     assert_eq!(observed.len(), predicted.len(), "residuals: length mismatch");
@@ -122,28 +86,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_stddev() {
+    fn mean_of_values_and_of_nothing() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[3.0]), 0.0);
-    }
-
-    #[test]
-    fn pearson_detects_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_zero_for_constant_series() {
-        assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-        assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
     }
 
     #[test]

@@ -280,3 +280,37 @@ fn quick_artifacts_match_digest_manifest() {
 
     check_golden("run_all_quick.digests", &digest_tree(&root));
 }
+
+/// Every artifact of the full default `run_all --threads 1` (profiling
+/// campaign and fitted models included), pinned in its own manifest. The
+/// same selection at `--threads 2`, and with `--perf`, must write the same
+/// bytes. The `--perf` run goes through the binary: `perfmon::enable` is
+/// process-global and cannot be undone, so an in-process run would
+/// instrument every later test of this binary. About 4 s per run in
+/// release mode, so ignored by default:
+/// `cargo test --release --test golden -- --ignored`.
+#[test]
+#[ignore]
+fn full_artifacts_match_digest_manifest() {
+    let root = std::env::temp_dir().join("rtds-golden-full");
+    let _ = std::fs::remove_dir_all(&root);
+    let args = |dir: &str, extra: &[&str]| -> Vec<String> {
+        let out = root.join(dir).to_str().unwrap().to_string();
+        ["--out", out.as_str()].iter().chain(extra).map(|a| a.to_string()).collect()
+    };
+
+    cli::parse(&args("threads1", &["--threads", "1"])).unwrap().emit();
+    let serial = digest_tree(&root.join("threads1"));
+    check_golden("run_all_full.digests", &serial);
+
+    cli::parse(&args("threads2", &["--threads", "2"])).unwrap().emit();
+    assert_eq!(digest_tree(&root.join("threads2")), serial, "--threads 2 changed the artifacts");
+
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args("perf", &["--threads", "1", "--perf"]))
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "run_all --perf failed: {status}");
+    assert_eq!(digest_tree(&root.join("perf")), serial, "--perf changed the artifacts");
+}
