@@ -9,8 +9,9 @@
 //! every row, divided by the reference row of its own run, against the
 //! same ratio in the last record of the checked-in `BENCH_hotpath.json`
 //! trajectory (see `scripts/check_bench_regression.py`). A slower or
-//! loaded host slows both sides of the ratio, so the gate holds across
-//! hosts. Record a new baseline (full budget, all rows) with:
+//! loaded host slows both sides of the ratio, so the bound does not
+//! depend on the host that recorded the baseline. Record a new baseline
+//! (full budget, all rows) with:
 //!
 //! ```text
 //! cargo bench -p rtds-bench --bench hotpath -- --save-json /tmp/hotpath.json
@@ -30,7 +31,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
 
     // Host calibration: the gate divides every other row by this one.
-    assert_eq!(reference::kernel(), reference::CHECKSUM, "the reference kernel did not do its work");
+    assert_eq!(reference::kernel(), reference::CHECKSUM, "reference kernel checksum");
     g.bench_function("reference_kernel", |b| b.iter(reference::kernel));
 
     // End-to-end evaluation run: the unit of work behind every figure
