@@ -286,7 +286,7 @@ fn quick_artifacts_match_digest_manifest() {
 /// same selection at `--threads 2`, and with `--perf`, must write the same
 /// bytes. The `--perf` run goes through the binary: `perfmon::enable` is
 /// process-global and cannot be undone, so an in-process run would
-/// instrument every later test of this binary. About 4 s per run in
+/// instrument every later test of this binary. About 2 s per run in
 /// release mode, so ignored by default:
 /// `cargo test --release --test golden -- --ignored`.
 #[test]
