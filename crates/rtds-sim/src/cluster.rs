@@ -256,17 +256,19 @@ impl Cluster {
             let at = self.load.gens[g].first_at(&mut self.kernel.rng);
             self.load.arm_poll(&mut self.kernel, &self.dispatch, at, g);
         }
-        self.kernel.queue.schedule(
-            SimTime::ZERO + self.kernel.config.sample_interval,
-            Ev::Sample,
-        );
-        self.kernel.queue.schedule(
-            SimTime::ZERO + self.kernel.config.clock.sync_interval,
-            Ev::ClockSync,
-        );
+        // The first sample and sync round obey the same horizon rule as
+        // every re-arm: nothing is scheduled that could never fire.
+        let horizon = self.kernel.horizon();
+        let first_sample = SimTime::ZERO + self.kernel.config.sample_interval;
+        if first_sample <= horizon {
+            self.kernel.queue.schedule(first_sample, Ev::Sample);
+        }
+        let first_sync = SimTime::ZERO + self.kernel.config.clock.sync_interval;
+        if first_sync <= horizon {
+            self.kernel.queue.schedule(first_sync, Ev::ClockSync);
+        }
 
         self.dispatch.start_run();
-        let horizon = self.kernel.horizon();
         if let Some(p) = self.kernel.perf.as_mut() {
             p.run_started = Some(std::time::Instant::now());
         }

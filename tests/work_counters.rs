@@ -108,7 +108,7 @@ fn ambient_only_cluster_with_a_crash_restart_and_a_permanent_failure() {
     cluster.fail_node_at(NodeId(5), SimTime::from_millis(3_250));
     assert_eq!(
         counters(cluster),
-        "scheduled=54 popped=53 cancelled=0 sample=50 node_fail=1 node_crash=1 node_restart=1 \
+        "scheduled=53 popped=53 cancelled=0 sample=50 node_fail=1 node_crash=1 node_restart=1 \
          elided_dispatches=5841 elided_bg_polls=11314 elided_bg_dispatches=22777 rng_draws=22648"
     );
 }
