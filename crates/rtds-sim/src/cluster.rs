@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use crate::clock::ClockConfig;
 use crate::control::{ControlAction, ControlContext, Controller, PeriodObservation};
+use crate::engine::dispatch::Next;
 use crate::engine::{DispatchEngine, FaultEngine, LoadEngine, NetEngine, TaskTable};
 use crate::ids::{NodeId, StageId, SubtaskIdx, TaskId};
 use crate::kernel::{Ev, SimKernel};
@@ -290,7 +291,21 @@ impl Cluster {
                 .kernel
                 .lanes
                 .peek()
-                .filter(|e| queue_key.is_none_or(|q| (e.at, e.seq) < q));
+                .filter(|e| queue_key.is_none_or(|q| (e.at, e.seq) <= q));
+            // A chain completion's lane key is provisional; against an
+            // event at its own µs it is made exact first, and events that
+            // share a tie slot are ranked (only a completion's key can
+            // equal the queue head's).
+            let lane = match lane {
+                Some(e) if matches!(e.lane, LaneRef::Dispatch(_)) => {
+                    match self.dispatch.contend(&mut self.kernel, e, queue_key) {
+                        Next::Lane(e) => Some(e),
+                        Next::Queue => None,
+                        Next::Again => continue,
+                    }
+                }
+                lane => lane,
+            };
             let t = match (lane, queue_key) {
                 (Some(e), _) => e.at,
                 (None, Some((qt, _))) => qt,
@@ -305,42 +320,33 @@ impl Cluster {
             let tie = self.kernel.queue.tie_seq();
             let (now, ev, timed) = match lane {
                 None => {
-                    let (now, ev) = self.kernel.queue.pop().expect("peeked event exists");
+                    let (now, mut ev) = self.kernel.queue.pop().expect("peeked event exists");
                     let (_, seq) = queue_key.expect("peeked event exists");
+                    if let Ev::Dispatch { node } = ev {
+                        let k = &mut self.kernel;
+                        ev = Ev::Dispatch { node: self.dispatch.fire_heap_dispatch(k, node.index(), (now, seq)) };
+                    }
                     self.kernel.event = (now, seq);
                     if log {
-                        self.log_fired(now, seq, tie, 1, SimDuration::ZERO);
+                        self.log_fired(now, seq, tie);
                     }
                     (now, ev, true)
                 }
                 Some(e) => {
-                    self.kernel.event = (e.at, e.seq);
                     // Polls have no external observer: counted as lane
-                    // fires, untimed. A node lane carries a quantum chain
-                    // of a node with stage jobs; its last link is an
-                    // ordinary timed dispatch.
-                    let ev = match e.lane {
+                    // fires, untimed. A node lane carries a stage job's
+                    // chain completion, an ordinary timed dispatch once
+                    // the chain's node-local links are counted.
+                    let (ev, seq) = match e.lane {
                         LaneRef::Dispatch(i) => {
-                            let i = i as usize;
-                            if let Some(c) = self.dispatch.chains[i].filter(|c| t < c.completion) {
-                                // An intermediate chain link, a state
-                                // no-op: replayed in a burst, off `handle()`.
-                                let k = &mut self.kernel;
-                                let links = self.dispatch.burst_chain(k, i, t, queue_key, horizon);
-                                if log {
-                                    self.log_fired(t, e.seq, tie, links, c.quantum);
-                                }
-                                if let Some(p) = self.kernel.perf.as_mut() {
-                                    p.report.elided_dispatches += links;
-                                }
-                                continue;
-                            }
-                            Ev::Dispatch { node: NodeId(i as u32) }
+                            let seq = self.dispatch.fire_completion(&mut self.kernel, i as usize, e);
+                            (Ev::Dispatch { node: NodeId(i) }, seq)
                         }
-                        LaneRef::BgPoll(g) => Ev::BgPoll { gen: g as usize },
+                        LaneRef::BgPoll(g) => (Ev::BgPoll { gen: g as usize }, e.seq),
                     };
+                    self.kernel.event = (t, seq);
                     if log {
-                        self.log_fired(t, e.seq, tie, 1, SimDuration::ZERO);
+                        self.log_fired(t, seq, tie);
                     }
                     // Fire: the lane's event goes through `handle()`.
                     // Its entry stays at the heap top — everything the
@@ -370,15 +376,14 @@ impl Cluster {
         self.finalize(horizon);
     }
 
-    /// Logs `n` global events fired from `(at, seq)` with tie slot `tie`
-    /// (`n > 1`: a chain burst, links `step` apart), compacting the log
-    /// first rather than letting it grow.
+    /// Logs a global event fired at `(at, seq)` with tie slot `tie`,
+    /// compacting the log first rather than letting it grow.
     #[inline]
-    fn log_fired(&mut self, at: SimTime, seq: u64, tie: u64, n: u64, step: SimDuration) {
+    fn log_fired(&mut self, at: SimTime, seq: u64, tie: u64) {
         if self.kernel.fired.would_grow() {
             self.dispatch.compact_log(&mut self.kernel);
         }
-        self.kernel.fired.push(at, seq, tie, n, step);
+        self.kernel.fired.push(at, seq, tie);
     }
 
     /// Routes one popped event to the engine that owns its domain. The

@@ -3,42 +3,57 @@
 //!
 //! The [`DispatchEngine`] owns the processor nodes and every live job.
 //! It admits work (from stage starts, message deliveries, and background
-//! polls) and drives slice-boundary dispatches. A node's next `Dispatch`
-//! is carried in one of three places:
+//! polls) and drives slice-boundary dispatches. On the fast path a node's
+//! next `Dispatch` is carried in one of two places:
 //!
-//! - **the event queue**, for a plain slice boundary of a node with stage
-//!   jobs (or of any node on the reference path);
-//! - **its lane** ([`LaneRef::Dispatch`]), for a lone job's quantum chain
-//!   ([`DispatchChain`]) on a node with stage jobs (or any node on the
-//!   reference path);
+//! - **the event queue**, for a slice boundary of a node with stage jobs
+//!   that is not an intermediate link of a lone job's quantum chain;
 //! - **node-local state** ([`LazyNode`]), for every boundary of a
-//!   *background-only* node on the fast path — a plain slice end or a
-//!   chain link. No other node can see such a boundary and none draws
-//!   randomness, so it is not armed anywhere: the node replays its
-//!   boundaries in a local loop ([`DispatchEngine::catch_up`]) only when
-//!   something observes it — an admission (a background poll's job, a
-//!   stage start, a message delivery), a kill, a `Sample` (everything
-//!   strictly before it), and the horizon (everything at or before it).
+//!   *background-only* node (a plain slice end or a chain link) and for
+//!   every intermediate link of a lone job's quantum chain
+//!   ([`DispatchChain`]) on any node. Such a boundary has no other
+//!   observer and draws no randomness, so it is not armed anywhere: the
+//!   node replays its boundaries in closed form ([`DispatchEngine::catch_up`])
+//!   only when something observes it — an admission (a background poll's
+//!   job, a stage start, a message delivery), a kill, a `Sample` (a
+//!   background-only node, everything strictly before it; a chain keeps
+//!   the node busy throughout, so it needs none), and the horizon
+//!   (everything at or before it).
+//!
+//! The completion of a stage job's chain has real effects, so it fires in
+//! global order from the node's lane ([`LaneRef::Dispatch`]) as a timed
+//! `Dispatch`. The reference path ([`crate::cluster::Cluster::reference`])
+//! runs every slice boundary, every chain link included, as a heap event.
 //!
 //! A replayed boundary runs the same serve / requeue / pick code as
 //! [`DispatchEngine::on_dispatch`] and counts in the perf report as the
-//! lane fire it stands for. Its place in the eager `(time, seq)` order matters only against a
-//! global event at the same µs, and is recovered exactly: a lazy boundary
-//! takes no seq, but sorts at the queue's tie slot
-//! ([`crate::event::EventQueue::tie_seq`]) current when the eager run
-//! would have armed it. A boundary armed by a global handler knows that
-//! slot at once. One armed during a replay does not (the global events
-//! between its predecessor and the replay have already fired), so the
-//! node keeps the times it replayed since its last exact slot, and
+//! lane fire it stands for. Its place in the eager `(time, seq)` order
+//! matters only against an event at the same µs, and is recovered
+//! exactly: a node-local boundary takes no seq, but sorts at the queue's
+//! tie slot ([`crate::event::EventQueue::tie_seq`]) current when the eager
+//! run would have armed it. A boundary armed by a global handler knows
+//! that slot at once. One armed during a replay does not (the global
+//! events between its predecessor and the replay have already fired), so
+//! the node keeps the times it replayed since its last exact slot, and
 //! [`DispatchEngine::resolve`] recomputes the slot from the kernel's
 //! [`FireLog`](crate::kernel::FireLog) — at a same-µs tie, before a
-//! boundary is materialized as a heap `Dispatch` (a stage job arrived),
+//! boundary is materialized as a heap `Dispatch` (a second job arrived),
 //! once a node has replayed [`REPLAYED_MAX`] runs, and for every node at
-//! every `Sample` and whenever the log is about to grow, which then
-//! trims the log to the stalest pending boundary.
+//! a `Sample` of background-only nodes and whenever the log is about to
+//! grow, which then trims the log to the stalest pending boundary.
 //!
-//! All `(time, seq)` allocation happens at the exact program points where
-//! the reference path would `schedule`, which is what keeps the modes
+//! A chain completion's lane key is provisional: the tie slot current
+//! when the chain was armed. Its exact slot, which the penultimate link
+//! armed, is never smaller (tie slots only grow), so the provisional key
+//! can only sort it too early against an event at its own µs; the run
+//! loop asks for the exact key ([`DispatchEngine::contend`]) only then.
+//! Being keyed by a tie slot, a completion can share its key with another
+//! completion or with a node-local boundary of another node: both were
+//! armed between the same two seq allocations, and the eager run orders
+//! them as their armers fired — by the armers' keys, then by arm order.
+//!
+//! All seq allocation happens at the exact program points where the
+//! reference path would `schedule`, which is what keeps the modes
 //! byte-identical.
 
 use crate::engine::net::NetEngine;
@@ -46,29 +61,75 @@ use crate::engine::tasks::TaskTable;
 use crate::ids::{JobId, NodeId};
 use crate::job::{Job, JobKind};
 use crate::kernel::{Ev, SimKernel};
-use crate::lane::{LaneKey, LaneRef};
+use crate::lane::{LaneEntry, LaneKey, LaneRef};
 use crate::node::{Node, Running};
 use crate::sched::SchedulerKind;
 use crate::time::{SimDuration, SimTime};
 
 /// The elided continuation of a lone running job (see
-/// [`DispatchEngine::chains`]). The next link's key is the node lane's.
+/// [`DispatchEngine::chains`]). Its pending link is the node's
+/// [`LazyNode`] boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DispatchChain {
     /// When the job completes if it keeps the CPU: `slice_start +
     /// remaining` at chain creation. The dispatch at this instant has real
-    /// effects and is scheduled as a real event when the chain reaches it.
+    /// effects: for a stage job it fires from the node's lane.
     pub completion: SimTime,
     /// The node's scheduling quantum (chains only exist under a quantum).
     pub quantum: SimDuration,
+    /// A stage job's completion, once its exact key is known: its tie
+    /// slot and the key of the penultimate link that armed it.
+    exact: Option<(u64, (LaneKey, Via))>,
 }
 
 /// Replayed runs a node keeps before it pins its pending boundary's exact
 /// tie slot early (see [`DispatchEngine::resolve`]).
 const REPLAYED_MAX: usize = 32;
 
-/// A background-only node's pending slice boundary, kept off the lane
-/// heap (see the module docs).
+/// Where an event keyed by a tie slot sorts among others with the same
+/// key. The eager run gave them seqs in the order their armers fired, so
+/// they sort by their armers' keys first; see [`DispatchEngine::precedes`]
+/// for armers that share a key too.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rank {
+    /// Key of the event that armed it.
+    armer: LaneKey,
+    /// How that armer sorts against a global event at its own key, if it
+    /// was a node-local boundary ([`LazyNode::via`]).
+    via: Via,
+    /// Its node.
+    node: usize,
+    /// Its node's arm id ([`LazyNode::id`]).
+    id: u64,
+}
+
+/// How the armer of a node's pending boundary sorts among events at its
+/// own key: a node-local boundary can share its key with a global event
+/// keyed by a tie slot (a chain completion or a materialized boundary).
+/// Every node-local boundary at such an event's key follows it unless it
+/// was replayed just before it fired ([`DispatchEngine::order_at`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Via {
+    /// A node-local boundary that fired before the global event at its key.
+    Before,
+    /// A global event.
+    Global,
+    /// A node-local boundary after any global event at its key.
+    #[default]
+    After,
+}
+
+/// What the run loop fires next (see [`DispatchEngine::contend`]).
+pub(crate) enum Next {
+    /// This lane entry.
+    Lane(LaneEntry),
+    /// The queue head.
+    Queue,
+    /// Nothing yet: a lane was re-keyed, peek again.
+    Again,
+}
+
+/// A node's pending node-local slice boundary (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct LazyNode {
     /// The pending boundary: its time and tie slot. The slot is exact
@@ -78,6 +139,19 @@ pub(crate) struct LazyNode {
     next: Option<LaneKey>,
     /// Exact tie slot of the first boundary in `replayed`.
     anchor: u64,
+    /// Key of the event that armed the first pending boundary: the first
+    /// of `replayed`, or `next` while `replayed` is empty.
+    armer: LaneKey,
+    /// How `armer` sorts against a global event at its key.
+    via: Via,
+    /// Arm id of the node's boundaries: a fresh, increasing id each time
+    /// a global handler arms one (a replay keeps it).
+    id: u64,
+    /// For a stage job's chain: the ids of the stage chains pending when
+    /// it was armed whose links fall on the same µs as its own, each with
+    /// whether that chain's links fire first (see
+    /// [`DispatchEngine::place_chain`]).
+    follows: Vec<(u64, bool)>,
     /// The boundaries replayed since the last exact slot, as runs
     /// `(time, count)`: a slice end is a run of one, and chain links
     /// replayed together are a run one quantum apart.
@@ -100,27 +174,32 @@ pub(crate) struct DispatchEngine {
     /// running. Zero means every job on the node is background load and
     /// its dispatch boundaries are eligible for elision.
     pub stage_jobs: Vec<u32>,
-    /// Per-node chain metadata of the node's `Dispatch` lane: when a node
-    /// runs a *lone* job (empty ready queue) spanning several quanta,
-    /// every intermediate per-quantum `Dispatch` is a state no-op — it
-    /// serves one quantum, requeues into an empty queue, picks the same
-    /// job back, and schedules the next slice. The lane carries the key
-    /// of the next link; `Some` here marks it as a chain link rather than
-    /// a plain slice boundary. Meaningful only while the lane or the
-    /// node-local boundary is armed: every arm sets it.
+    /// Per-node chain metadata: when a node runs a *lone* job (empty
+    /// ready queue) spanning several quanta, every intermediate
+    /// per-quantum `Dispatch` is a state no-op — it serves one quantum,
+    /// requeues into an empty queue, picks the same job back, and
+    /// schedules the next slice. `Some` here marks the node-local
+    /// boundary as a chain link rather than a plain slice end.
+    /// Meaningful only while that boundary is pending: every arm sets it.
     pub chains: Vec<Option<DispatchChain>>,
-    /// Per-node pending boundary of background-only nodes. Sized by
-    /// [`Self::start_run`].
+    /// Per-node pending boundary. Sized by [`Self::start_run`].
     lazy: Vec<LazyNode>,
     /// Nodes whose `lazy` boundary is pending. While it is non-zero the
     /// run loop logs every global event it fires.
     pub lazy_nodes: usize,
-    /// The one switch between the two background-load paths: true runs
-    /// background polls on virtual lanes and background-only slice
+    /// Nodes whose stage job's chain completion is armed on their lane.
+    chain_lanes: usize,
+    /// Per node: the key and [`Rank`] of its materialized `Dispatch`, a
+    /// heap event keyed by a tie slot, while it is pending.
+    materialized: Vec<Option<(LaneKey, Rank)>>,
+    /// Global arms of a node-local boundary so far (see [`LazyNode::id`]).
+    arms: u64,
+    /// The one switch between the two paths: true runs background polls
+    /// on virtual lanes and chain links and background-only slice
     /// boundaries node-locally; false (only
     /// [`crate::cluster::Cluster::reference`], the equivalence oracle)
-    /// runs them as heap events. Every engine reads this field, never a
-    /// config.
+    /// runs them all as heap events. Every engine reads this field, never
+    /// a config.
     pub bg_ff: bool,
 }
 
@@ -138,6 +217,9 @@ impl DispatchEngine {
             chains: vec![None; n_nodes],
             lazy: Vec::new(),
             lazy_nodes: 0,
+            chain_lanes: 0,
+            materialized: vec![None; n_nodes],
+            arms: 0,
             bg_ff,
         }
     }
@@ -230,38 +312,47 @@ impl DispatchEngine {
             .expect("a node with an armed lane has a running job")
     }
 
-    /// Moves a node's pending `Dispatch` — from its lane, or its exact
-    /// node-local key — onto the event queue as a real event in its
-    /// tie-break slot, truncating a chain at its pending link: another job
-    /// arrived, so from here on round-robin interleaving and the node's
-    /// scheduling are observable and run on real events, exactly as
-    /// without elision.
+    /// Moves a node's pending node-local boundary onto the event queue as
+    /// a real `Dispatch` in its exact tie-break slot, truncating a chain
+    /// at its pending link (and disarming a stage job's completion): a
+    /// second job arrived, so from here on round-robin interleaving and
+    /// the node's scheduling are observable and run on real events,
+    /// exactly as without elision.
     pub fn materialize(&mut self, k: &mut SimKernel, node: NodeId) {
         let i = node.index();
-        let key = match k.lanes.disarm(LaneRef::Dispatch(i as u32)) {
-            Some(key) => Some(key),
-            None if self.lazy[i].next.is_some() => {
-                let seq = self.resolve(k, i);
-                self.drop_lazy(i).map(|(at, _)| (at, seq))
-            }
-            None => None,
-        };
-        if let Some((at, seq)) = key {
-            let h = k.queue.schedule_at_seq(at, seq, Ev::Dispatch { node });
-            let r = self.running_mut(node);
-            r.slice_end = at;
-            r.dispatch_handle = Some(h);
+        if self.lazy[i].next.is_none() {
+            return;
         }
+        let seq = self.resolve(k, i);
+        let rank = self.rank(i, (self.lazy[i].armer, self.lazy[i].via));
+        let (at, _) = self.drop_lazy(k, i).expect("a pending boundary");
+        self.materialized[i] = Some(((at, seq), rank));
+        let h = k.queue.schedule_at_seq(at, seq, Ev::Dispatch { node });
+        let r = self.running_mut(node);
+        r.slice_end = at;
+        r.dispatch_handle = Some(h);
     }
 
-    /// Discards `node`'s node-local boundary state (materialized, or the
-    /// node died), returning the pending key.
-    pub fn drop_lazy(&mut self, i: usize) -> Option<LaneKey> {
+    /// Discards node `i`'s node-local boundary state, its chain
+    /// completion's lane and its materialized rank (materialized,
+    /// completed, or the node died), returning the pending key.
+    pub fn drop_lazy(&mut self, k: &mut SimKernel, i: usize) -> Option<LaneKey> {
+        if k.lanes.disarm(LaneRef::Dispatch(i as u32)).is_some() {
+            self.chain_lanes -= 1;
+        }
+        self.materialized[i] = None;
         let lz = &mut self.lazy[i];
         lz.replayed.clear();
         let next = lz.next.take();
         self.lazy_nodes -= next.is_some() as usize;
         next
+    }
+
+    /// True if node `i`'s pending boundary is its stage job's chain
+    /// completion, which is not node-local: it fires from the lane.
+    fn at_completion(&self, k: &SimKernel, i: usize) -> bool {
+        k.lanes.key(LaneRef::Dispatch(i as u32)).is_some()
+            && self.lazy[i].next.map(|(at, _)| at) == self.chains[i].map(|c| c.completion)
     }
 
     /// Replays `node`'s lazy boundaries that precede the event being
@@ -277,8 +368,14 @@ impl DispatchEngine {
         self.replay_before(k, i, t);
         if self.lazy[i].next.is_some_and(|(at, _)| at == t) {
             let first = self.resolve(k, i) < seq;
+            debug_assert!(!first || !self.at_completion(k, i), "a chain completion fires from its lane");
             #[cfg(test)]
-            k.ties.push((k.handling, first));
+            {
+                k.ties.push((k.handling, first));
+                if k.lanes.key(LaneRef::Dispatch(i as u32)).is_some() {
+                    k.ties.push(("stage_link", first));
+                }
+            }
             if first {
                 self.replay(k, i, t + SimDuration::from_micros(1));
             }
@@ -316,6 +413,7 @@ impl DispatchEngine {
                 }
             }
             _ => {
+                debug_assert!(k.lanes.key(LaneRef::Dispatch(i as u32)).is_none(), "completion replayed");
                 lz.replayed.push((at, 1));
                 lz.next = None;
                 self.lazy_nodes -= 1;
@@ -340,54 +438,248 @@ impl DispatchEngine {
     }
 
     /// The exact tie slot of node `i`'s pending boundary, which becomes
-    /// its new anchor. Each replayed boundary armed its successor at the
-    /// tie slot current just before the first global event after it
-    /// ([`crate::kernel::FireLog::tie_after`]); that depends on the
-    /// replayed boundary's own slot only if some global event fired at
-    /// the same µs, so the walk starts after the last replayed boundary
-    /// without such a tie.
+    /// its new anchor (with the last replayed boundary as its armer).
     fn resolve(&mut self, k: &SimKernel, i: usize) -> u64 {
-        // Chain links replay in runs `quantum` apart; a run of a plain
-        // slice end has one time and needs no spacing.
         let q = self.nodes[i].sched.quantum().unwrap_or(SimDuration::ZERO);
         let lz = &mut self.lazy[i];
-        let (at, mut seq) = lz.next.expect("a pending boundary");
+        let (at, seq) = lz.next.expect("a pending boundary");
         if lz.replayed.is_empty() {
             return seq;
         }
-        let (log, current) = (&k.fired, k.queue.tie_seq());
-        let untied = lz.replayed.iter().enumerate().rev().find_map(|(r, &(t0, n))| {
-            (0..n).rev().find(|&j| !log.fired_at(t0 + q * j)).map(|j| (r, j))
-        });
-        let (r0, j0) = match untied {
-            Some((r, j)) => {
-                seq = log.tie_after(lz.replayed[r].0 + q * j, 0, current);
-                (r, j + 1)
-            }
-            None => {
-                seq = lz.anchor;
-                (0, 0)
-            }
-        };
-        for (r, &(t0, n)) in lz.replayed.iter().enumerate().skip(r0) {
-            for j in if r == r0 { j0 } else { 0 }..n {
-                seq = log.tie_after(t0 + q * j, seq, current);
-            }
-        }
+        let (seq, armer) = walk(k, q, lz.anchor, &lz.replayed, None);
         lz.replayed.clear();
         lz.next = Some((at, seq));
+        (lz.armer, lz.via) = (armer, Via::After);
         seq
     }
 
+    /// The exact key of node `i`'s stage-job chain completion: its tie
+    /// slot, and the key of the penultimate link that armed it. The links
+    /// not yet replayed are walked as one more run; nothing is replayed.
+    fn exact_completion(&mut self, k: &SimKernel, i: usize) -> (u64, (LaneKey, Via)) {
+        let c = self.chains[i].expect("a chain");
+        if let Some(exact) = c.exact {
+            return exact;
+        }
+        let lz = &self.lazy[i];
+        let (at, seq) = lz.next.expect("a pending boundary");
+        let exact = if at < c.completion {
+            let links = c.completion.since(at).as_micros().div_ceil(c.quantum.as_micros());
+            let anchor = if lz.replayed.is_empty() { seq } else { lz.anchor };
+            let (seq, armer) = walk(k, c.quantum, anchor, &lz.replayed, Some((at, links)));
+            (seq, (armer, Via::After))
+        } else if lz.replayed.is_empty() {
+            (seq, (lz.armer, lz.via))
+        } else {
+            let (seq, armer) = walk(k, c.quantum, lz.anchor, &lz.replayed, None);
+            (seq, (armer, Via::After))
+        };
+        self.chains[i] = Some(DispatchChain { exact: Some(exact), ..c });
+        exact
+    }
+
+    /// The [`Rank`] of node `i`'s pending event, armed by `armer`.
+    fn rank(&self, i: usize, (armer, via): (LaneKey, Via)) -> Rank {
+        Rank { armer, via, node: i, id: self.lazy[i].id }
+    }
+
+    /// True if the event ranked `a` fires before the one ranked `b`, both
+    /// keyed by the same tie slot. Armers with different keys fired in
+    /// key order. Armers that share a key too belong to two nodes whose
+    /// boundaries fell on the same µs in the same gap between seq
+    /// allocations; the eager run keeps such nodes in the order they had
+    /// when they fell into step, and for two stage jobs' chains the later
+    /// one recorded that order as it was armed. Otherwise they are taken
+    /// in arm order.
+    fn precedes(&self, a: Rank, b: Rank) -> bool {
+        if (a.armer, a.via) != (b.armer, b.via) {
+            return (a.armer, a.via) < (b.armer, b.via);
+        }
+        let (early, late) = if a.id < b.id { (a, b) } else { (b, a) };
+        let verdict = self.lazy[late.node].follows.iter().find(|&&(id, _)| id == early.id);
+        verdict.is_none_or(|&(_, first)| first) == (early.id == a.id)
+    }
+
+    /// Called by the run loop when node `i`'s chain completion `e` heads
+    /// the lanes and sorts no later than `queue_key`. Against an event at
+    /// its own µs — the queue head or another lane — the completion needs
+    /// its exact key: if that moved, it is re-armed there and the loop
+    /// peeks again. Completions sharing the exact key, and a materialized
+    /// boundary at the queue head that shares it too, are ordered by
+    /// [`Rank`].
+    pub fn contend(&mut self, k: &mut SimKernel, e: LaneEntry, queue_key: Option<LaneKey>) -> Next {
+        let LaneRef::Dispatch(i) = e.lane else { return Next::Lane(e) };
+        let i = i as usize;
+        let runner = k.lanes.runner_up();
+        let same_us = |key: Option<LaneKey>| key.is_some_and(|(at, _)| at == e.at);
+        if !same_us(queue_key) && !same_us(runner) {
+            return Next::Lane(e);
+        }
+        let (seq, armer) = self.exact_completion(k, i);
+        #[cfg(test)]
+        self.tally_contention(k, i, e.at, seq, queue_key);
+        if seq != e.seq {
+            k.lanes.arm(e.lane, e.at, seq);
+            return Next::Again;
+        }
+        let key = Some((e.at, seq));
+        let (mut best, mut best_rank) = (e.lane, self.rank(i, armer));
+        for j in (0..self.nodes.len()).filter(|&j| j != i && runner == key) {
+            let lane = LaneRef::Dispatch(j as u32);
+            if k.lanes.key(lane) != key {
+                continue;
+            }
+            let (s, armer) = self.exact_completion(k, j);
+            if s != seq {
+                k.lanes.arm(lane, e.at, s);
+                return Next::Again;
+            }
+            if self.precedes(self.rank(j, armer), best_rank) {
+                (best, best_rank) = (lane, self.rank(j, armer));
+            }
+        }
+        if queue_key == key {
+            let heap = self.materialized.iter().flatten().find(|&&(k, _)| Some(k) == key);
+            if heap.is_none_or(|&(_, rank)| self.precedes(rank, best_rank)) {
+                return Next::Queue;
+            }
+        }
+        Next::Lane(LaneEntry { lane: best, ..e })
+    }
+
+    /// Fires node `i`'s stage-job chain completion `e` off the node-local
+    /// state: its links before `e.at` are counted and the chain is
+    /// dropped. Returns the seq the completion is logged with: exact if
+    /// another node holds a node-local boundary at its µs, which is then
+    /// ordered against it ([`Self::order_at`]).
+    pub fn fire_completion(&mut self, k: &mut SimKernel, i: usize, e: LaneEntry) -> u64 {
+        let mut seq = e.seq;
+        if self.lazy_nodes > 1 && self.any_boundary_at(k, i, e.at) {
+            let (exact, armer) = self.exact_completion(k, i);
+            seq = exact;
+            self.order_at(k, i, e.at, seq, self.rank(i, armer));
+        }
+        self.replay_before(k, i, e.at);
+        self.drop_lazy(k, i);
+        seq
+    }
+
+    /// A heap `Dispatch` of node `i` at `(t, seq)` was popped. If it is a
+    /// materialized boundary, keyed by a tie slot, the lowest-[`Rank`]ed
+    /// of the materialized boundaries sharing its key fires first: the
+    /// popped event is handed to that node and its pending one to node
+    /// `i`. Node-local boundaries at its key are then ordered against it
+    /// ([`Self::order_at`]). Returns the node to dispatch.
+    pub fn fire_heap_dispatch(&mut self, k: &mut SimKernel, i: usize, (t, seq): LaneKey) -> NodeId {
+        let Some((key, mut rank)) = self.materialized[i] else { return NodeId(i as u32) };
+        debug_assert_eq!(key, (t, seq), "a materialized dispatch fires at its key");
+        let mut w = i;
+        for (m, pending) in self.materialized.iter().enumerate() {
+            if let Some((_, r)) = pending.filter(|&(km, r)| km == key && self.precedes(r, rank)) {
+                (w, rank) = (m, r);
+            }
+        }
+        if w != i {
+            let h = self.nodes[w].running.as_mut().and_then(|r| r.dispatch_handle.take());
+            let h = h.expect("a materialized dispatch is pending");
+            k.queue.replace(h, Ev::Dispatch { node: NodeId(i as u32) });
+            self.running_mut(NodeId(i as u32)).dispatch_handle = Some(h);
+        }
+        self.materialized[w] = None;
+        if self.lazy_nodes > 0 && self.any_boundary_at(k, w, t) {
+            self.order_at(k, w, t, seq, rank);
+        }
+        NodeId(w as u32)
+    }
+
+    /// True if a node other than `i` holds a node-local boundary at `t`.
+    fn any_boundary_at(&mut self, k: &mut SimKernel, i: usize, t: SimTime) -> bool {
+        let mut any = false;
+        for j in 0..self.lazy.len() {
+            any |= j != i && self.boundary_at(k, j, t);
+        }
+        any
+    }
+
+    /// Node `i`'s event keyed `(t, seq)` by a tie slot, of rank `rank`, is
+    /// about to fire and be logged. Each other node's boundary at `t`
+    /// that precedes it in eager order — a lower tie slot, or the same one
+    /// with a lower rank — is replayed now and its successor's slot
+    /// pinned. Every boundary left at its key follows it, which is how
+    /// [`crate::kernel::FireLog::tie_after`] counts it.
+    fn order_at(&mut self, k: &mut SimKernel, i: usize, t: SimTime, seq: u64, rank: Rank) {
+        for j in 0..self.lazy.len() {
+            if j == i || !self.boundary_at(k, j, t) {
+                continue;
+            }
+            self.replay_before(k, j, t);
+            let slot = self.resolve(k, j);
+            let mine = self.rank(j, (self.lazy[j].armer, self.lazy[j].via));
+            let first = slot < seq || (slot == seq && self.precedes(mine, rank));
+            #[cfg(test)]
+            k.ties.push(("gap_event_vs_boundary", !first));
+            if first {
+                self.replay(k, j, t + SimDuration::from_micros(1));
+                if self.lazy[j].next.is_some() {
+                    self.resolve(k, j);
+                    self.lazy[j].via = Via::Before;
+                }
+            }
+        }
+    }
+
+    /// True if node `j` holds a node-local boundary at `t`, the µs of a
+    /// chain completion about to fire. A chain's links are found in closed
+    /// form; a background-only node is replayed up to `t`.
+    fn boundary_at(&mut self, k: &mut SimKernel, j: usize, t: SimTime) -> bool {
+        let Some((at, _)) = self.lazy[j].next else { return false };
+        if at > t {
+            return false;
+        }
+        match self.chains[j] {
+            Some(c) if t < c.completion => t.since(at).as_micros().is_multiple_of(c.quantum.as_micros()),
+            // Another stage job's completion at `t`: ranked on the lanes.
+            Some(_) if k.lanes.key(LaneRef::Dispatch(j as u32)).is_some() => false,
+            _ => {
+                self.replay_before(k, j, t);
+                self.lazy[j].next.is_some_and(|(at, _)| at == t)
+            }
+        }
+    }
+
+    /// Test-only tally of a chain completion's same-µs contenders.
+    #[cfg(test)]
+    fn tally_contention(&self, k: &mut SimKernel, i: usize, t: SimTime, seq: u64, queue_key: Option<LaneKey>) {
+        if let Some((_, q)) = queue_key.filter(|&(at, _)| at == t) {
+            k.ties.push(("completion_vs_heap", seq < q));
+        }
+        for (lane, (at, s)) in k.lanes.live() {
+            match lane {
+                LaneRef::BgPoll(_) if at == t => k.ties.push(("completion_vs_poll", seq < s)),
+                LaneRef::Dispatch(j) if at == t && j as usize != i => {
+                    k.ties.push(("completion_vs_completion", seq <= s));
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// A `Sample` at `now` observes every node's busy time: replay each
-    /// lazy node strictly before `now` (a boundary at `now` leaves
-    /// `busy_total(now)` unchanged on either side), then compact the fire
-    /// log, which is never consulted before `now` again.
+    /// background-only node strictly before `now` (a boundary at `now`
+    /// leaves `busy_total(now)` unchanged on either side), then compact
+    /// the fire log, which is never consulted before `now` again. A chain
+    /// that completes at or after `now` keeps its node busy throughout, so
+    /// it needs no replay; with only stage jobs' chains pending the
+    /// sample does nothing here, and the log is compacted when it is about
+    /// to grow.
     pub fn settle(&mut self, k: &mut SimKernel, now: SimTime) {
-        if self.lazy_nodes == 0 {
+        if self.lazy_nodes == self.chain_lanes {
             return;
         }
         for i in 0..self.lazy.len() {
+            if self.chains[i].is_some_and(|c| c.completion >= now) {
+                continue;
+            }
             self.replay_before(k, i, now);
             #[cfg(test)]
             if self.lazy[i].next.is_some_and(|(at, _)| at == now) {
@@ -399,12 +691,18 @@ impl DispatchEngine {
 
     /// Pins every pending boundary's exact slot, then drops the fire log
     /// before the earliest of them: every later lookup is at or after a
-    /// pending boundary's time. The run loop also calls this when the log
-    /// is about to grow, so it holds the events since the stalest pending
-    /// boundary rather than a whole sample interval's.
+    /// pending boundary's time. A chain's links cost nothing to replay, so
+    /// they are first brought up to the event being handled; a long
+    /// chain then holds no history back. The run loop also calls this
+    /// when the log is about to grow, so it holds the events since the
+    /// stalest pending boundary rather than a whole sample interval's.
     pub fn compact_log(&mut self, k: &mut SimKernel) {
         let mut cut = None;
         for i in 0..self.lazy.len() {
+            let link = |c: &DispatchChain| self.lazy[i].next.is_some_and(|(at, _)| at < c.completion);
+            if let Some(c) = self.chains[i].filter(link) {
+                self.replay_before(k, i, k.event.0.min(c.completion));
+            }
             if let Some((at, _)) = self.lazy[i].next {
                 self.resolve(k, i);
                 cut = Some(cut.map_or(at, |c: SimTime| c.min(at)));
@@ -423,48 +721,6 @@ impl DispatchEngine {
                 k.ties.push(("horizon", true));
                 self.replay(k, i, horizon + SimDuration::from_micros(1));
             }
-        }
-    }
-
-    /// Fires node `i`'s intermediate chain link due at `at`, then keeps
-    /// firing links while the next one is still intermediate, within the
-    /// horizon, and before every other pending key: the queue's
-    /// `queue_key` and the runner-up lane, neither of which moves during
-    /// the burst. For the lone job each link is a state no-op (serve one
-    /// quantum, requeue into an empty queue, pick itself back), so only
-    /// its bookkeeping is replayed: the dispatch that handler would have
-    /// scheduled takes the next sequence number and now. Nothing reads the
-    /// lane heap during the burst (its bound is taken before the first
-    /// link), so the lane is re-armed once, in place, with the key of the
-    /// link the burst stops at. The chain's last link — the job's
-    /// completion, which has real effects — fires as a `Dispatch`. Returns
-    /// the number of links fired.
-    pub fn burst_chain(
-        &mut self,
-        k: &mut SimKernel,
-        i: usize,
-        mut at: SimTime,
-        queue_key: Option<LaneKey>,
-        horizon: SimTime,
-    ) -> u64 {
-        let bound = match (queue_key, k.lanes.runner_up()) {
-            (Some(q), Some(r)) => Some(q.min(r)),
-            (q, r) => q.or(r),
-        };
-        let c = self.chains[i].expect("chain link exists");
-        let lane = LaneRef::Dispatch(i as u32);
-        let mut links = 0;
-        loop {
-            debug_assert!(at < c.completion, "final link fired as intermediate");
-            k.queue.advance_now(at);
-            let next = (at + c.quantum).min(c.completion);
-            let seq = k.queue.alloc_seq();
-            links += 1;
-            if next >= c.completion || next > horizon || bound.is_some_and(|b| (next, seq) >= b) {
-                k.lanes.arm(lane, next, seq);
-                return links;
-            }
-            at = next;
         }
     }
 
@@ -511,8 +767,8 @@ impl DispatchEngine {
 
     /// Picks and starts the next job on an idle node, arming either a
     /// real slice-boundary `Dispatch` or, through [`Self::arm_lane`], a
-    /// chain (lone multi-quantum job) or the node-local boundary of a
-    /// background-only node.
+    /// chain (lone multi-quantum job, fast path) or the node-local
+    /// boundary of a background-only node.
     pub fn try_dispatch(&mut self, k: &mut SimKernel, now: SimTime, node: NodeId) {
         let (jid, lone, quantum) = {
             let n = &mut self.nodes[node.index()];
@@ -535,12 +791,12 @@ impl DispatchEngine {
         let (slice_end, handle) = match quantum {
             // A lone job spanning several quanta: every intermediate
             // dispatch would requeue into an empty queue and pick the
-            // same job back, so the whole run is carried on the lane as a
-            // chain. The first elided dispatch would be scheduled right
-            // here; its sequence number is allocated right here.
-            Some(q) if lone && remaining > q => {
+            // same job back, so the whole run is carried as a chain. Its
+            // first link sorts where its dispatch would be scheduled,
+            // right here.
+            Some(q) if lone && remaining > q && self.bg_ff => {
                 let completion = now + remaining;
-                let chain = DispatchChain { completion, quantum: q };
+                let chain = DispatchChain { completion, quantum: q, exact: None };
                 self.arm_lane(k, now + q, node, Some(chain));
                 (completion, None)
             }
@@ -566,11 +822,10 @@ impl DispatchEngine {
         n.begin_busy(now);
     }
 
-    /// Arms `node`'s next dispatch at `at`, as a chain link or a plain
-    /// slice boundary: node-local with the current tie slot while the
-    /// node is background-only, otherwise on its lane with a seq
-    /// allocated at the exact program point where the reference path
-    /// would `schedule`, keeping tie-break order bit-identical.
+    /// Arms `node`'s next boundary at `at`, a chain link or a plain slice
+    /// end, node-locally with the current tie slot. A stage job's chain
+    /// also arms its completion on the node's lane, keyed provisionally by
+    /// the same tie slot (see [`Self::contend`]).
     #[inline]
     fn arm_lane(
         &mut self,
@@ -581,17 +836,108 @@ impl DispatchEngine {
     ) {
         let i = node.index();
         self.chains[i] = chain;
-        if self.bg_only(i) {
-            let lz = &mut self.lazy[i];
-            if lz.next.replace((at, k.queue.tie_seq())).is_none() {
-                self.lazy_nodes += 1;
-                if lz.replayed.capacity() == 0 {
-                    lz.replayed.reserve_exact(REPLAYED_MAX);
-                }
-            }
-        } else {
-            let seq = k.queue.alloc_seq();
-            k.lanes.arm(LaneRef::Dispatch(i as u32), at, seq);
+        let tie = k.queue.tie_seq();
+        let lz = &mut self.lazy[i];
+        if lz.replayed.is_empty() {
+            // Armed by the global event being handled; a replay arms with
+            // its own boundary already in the replayed list.
+            (lz.armer, lz.via) = (k.event, Via::Global);
+            self.arms += 1;
+            lz.id = self.arms;
+            lz.follows.clear();
         }
+        if lz.next.replace((at, tie)).is_none() {
+            self.lazy_nodes += 1;
+            if lz.replayed.capacity() == 0 {
+                lz.replayed.reserve_exact(REPLAYED_MAX);
+            }
+        }
+        if let Some(c) = chain.filter(|_| !self.bg_only(i)) {
+            k.lanes.arm(LaneRef::Dispatch(i as u32), c.completion, tie);
+            self.chain_lanes += 1;
+            self.place_chain(k, i, at - c.quantum);
+        }
+    }
+
+    /// Node `i`'s stage job's chain was just armed at `s` by the event
+    /// being handled. Every pending stage chain with a link at `s` has
+    /// links on the same µs as this one from here on, and the eager run
+    /// fires the two at each such µs in one fixed order: the other's
+    /// first iff its link at `s` fired before the arming event. That is
+    /// recorded now, while the other's slot at `s` can still be walked.
+    fn place_chain(&mut self, k: &SimKernel, i: usize, s: SimTime) {
+        let q = self.chains[i].expect("a chain").quantum;
+        for j in 0..self.nodes.len() {
+            let (Some(c), Some(r)) = (self.chains[j], self.nodes[j].running.as_ref()) else { continue };
+            let start = r.slice_start;
+            if j == i || k.lanes.key(LaneRef::Dispatch(j as u32)).is_none() || start >= s {
+                continue;
+            }
+            if s.since(start).as_micros().is_multiple_of(q.as_micros()) && s < c.completion {
+                let first = self.slot_at(k, j, s) < k.event.1;
+                let id = self.lazy[j].id;
+                self.lazy[i].follows.push((id, first));
+            }
+        }
+    }
+
+    /// The tie slot of stage chain `j`'s link at `s` (not before its
+    /// pending one), or 0 if it was replayed already (it fired first).
+    fn slot_at(&self, k: &SimKernel, j: usize, s: SimTime) -> u64 {
+        let (q, lz) = (self.chains[j].expect("a chain").quantum, &self.lazy[j]);
+        let (at, seq) = lz.next.expect("a pending boundary");
+        if at > s {
+            return 0;
+        }
+        let links = s.since(at).as_micros() / q.as_micros();
+        if lz.replayed.is_empty() && links == 0 {
+            return seq;
+        }
+        let anchor = if lz.replayed.is_empty() { seq } else { lz.anchor };
+        walk(k, q, anchor, &lz.replayed, (links > 0).then_some((at, links))).0
+    }
+}
+
+/// The tie-slot walk behind [`DispatchEngine::resolve`]: `runs`, then
+/// `extra` (a chain's links not yet replayed), are boundaries in eager
+/// order, each run `(t0, n)` being `n` boundaries `q` apart, the first
+/// with tie slot `anchor`. Each armed its successor at the tie slot
+/// current just before the first global event after it
+/// ([`crate::kernel::FireLog::tie_after`]); that depends on the
+/// boundary's own slot only if some global event fired at the same µs, so
+/// the walk starts after the last such untied boundary short of the last
+/// one. Returns the slot the last boundary arms, and its key.
+fn walk(
+    k: &SimKernel,
+    q: SimDuration,
+    anchor: u64,
+    runs: &[(SimTime, u64)],
+    extra: Option<(SimTime, u64)>,
+) -> (u64, LaneKey) {
+    let count = runs.len() + extra.is_some() as usize;
+    let run = |r: usize| runs.get(r).copied().or(extra).expect("a run");
+    let (log, current) = (&k.fired, k.queue.tie_seq());
+    let mut start = (0, 0, anchor);
+    'search: for r in (0..count).rev() {
+        let (t0, n) = run(r);
+        for j in (0..n - (r + 1 == count) as u64).rev() {
+            let at = t0 + q * j;
+            if !log.fired_at(at) {
+                let seq = log.tie_after(at, 0, current);
+                start = if j + 1 < n { (r, j + 1, seq) } else { (r + 1, 0, seq) };
+                break 'search;
+            }
+        }
+    }
+    let (mut r, mut j, mut seq) = start;
+    loop {
+        let (t0, n) = run(r);
+        let at = t0 + q * j;
+        let next = log.tie_after(at, seq, current);
+        if r + 1 == count && j + 1 == n {
+            return (next, (at, seq));
+        }
+        seq = next;
+        (r, j) = if j + 1 < n { (r, j + 1) } else { (r + 1, 0) };
     }
 }

@@ -3,9 +3,9 @@
 //! The [`FaultEngine`] is the single owner of the node-death path:
 //! permanent failures (`NodeFail`) and crash–restart cycles (`NodeCrash`
 //! / `NodeRestart`) both go through [`FaultEngine::kill_node`], so the
-//! teardown semantics — lost jobs, failed instances, dead virtual lanes
-//! and node-local boundaries — cannot drift between the two. A crash additionally tears down the
-//! dead node's bus traffic, and a restart re-arms its dormant background
+//! teardown semantics — lost jobs, failed instances, node-local
+//! boundaries and chain completions — cannot drift between the two. A
+//! crash additionally tears down the dead node's bus traffic, and a restart re-arms its dormant background
 //! generators and reports the node as cold until its utilization
 //! estimate warms back up.
 
@@ -15,7 +15,6 @@ use crate::engine::net::NetEngine;
 use crate::engine::tasks::TaskTable;
 use crate::ids::{JobId, NodeId};
 use crate::kernel::{Ev, SimKernel};
-use crate::lane::LaneRef;
 use crate::net::MsgPayload;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
@@ -46,13 +45,13 @@ impl FaultEngine {
             return false;
         }
         // Boundaries that precede the kill still run; the rest die with
-        // the node, on its lane (the heap entry goes stale) or node-local.
+        // the node: node-local ones, and a chain completion on its lane
+        // (the heap entry goes stale).
         dispatch.catch_up(k, node);
-        dispatch.drop_lazy(node.index());
+        dispatch.drop_lazy(k, node.index());
         dispatch.nodes[node.index()].alive = false;
         k.record_trace(now, TraceEvent::NodeFailed { node });
         let mut lost: Vec<JobId> = Vec::new();
-        k.lanes.disarm(LaneRef::Dispatch(node.index() as u32));
         if let Some(running) = dispatch.nodes[node.index()].running.take() {
             if let Some(h) = running.dispatch_handle {
                 k.queue.cancel(h);
@@ -156,6 +155,7 @@ mod tests {
 
     use super::*;
     use crate::cluster::ClusterConfig;
+    use crate::lane::LaneRef;
     use crate::ids::LoadGenId;
     use crate::job::JobKind;
     use crate::load::PeriodicLoad;

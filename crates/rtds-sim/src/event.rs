@@ -227,6 +227,13 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Swaps in a new payload for a pending event, keeping its key.
+    pub fn replace(&mut self, handle: EventHandle, event: E) {
+        let slot = &mut self.slots[handle.slot as usize];
+        debug_assert!(slot.gen == handle.gen && slot.event.is_some(), "replacing a settled event");
+        slot.event = Some(event);
+    }
+
     /// Cancels a previously scheduled event. Returns true if the handle was
     /// still pending (i.e. not already popped or cancelled).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {

@@ -16,10 +16,12 @@
 //! `docs/ARCHITECTURE.md` for the ownership map.
 //!
 //! The kernel also keeps the bookkeeping behind the node-local slice
-//! boundaries of background-only nodes (see `crate::engine::dispatch`):
-//! the key of the event being handled ([`SimKernel::event`]) and, while
-//! any node holds such a boundary, the [`FireLog`] of global events from
-//! which a boundary's exact tie slot is recovered on demand.
+//! boundaries — every boundary of a background-only node and every
+//! intermediate link of a lone job's quantum chain (see
+//! `crate::engine::dispatch`): the key of the event being handled
+//! ([`SimKernel::event`]) and, while any node holds such a boundary, the
+//! [`FireLog`] of global events from which a boundary's exact tie slot is
+//! recovered on demand.
 //!
 //! Everything here is `pub(crate)`: the kernel is an internal seam, not
 //! public API. The public surface is the `ClusterApi` trait.
@@ -34,7 +36,7 @@ use crate::metrics::RunMetrics;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
 use crate::sink::BoundedSink;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::TraceEvent;
 
 /// Events driving the simulation. Owned by the kernel (the queue is typed
@@ -135,12 +137,12 @@ pub(crate) struct SimKernel {
     /// Master RNG; all stochastic draws flow through here in a fixed
     /// program order (the byte-identity contract).
     pub rng: SimRng,
-    /// The virtual lanes: each generator's next `BgPoll` and the quantum
-    /// chains of nodes with stage jobs, off the event queue.
+    /// The virtual lanes: each generator's next `BgPoll` and the chain
+    /// completion of each node's lone stage job, off the event queue.
     pub lanes: Lanes,
     /// `(time, seq)` of the event being handled.
     pub event: LaneKey,
-    /// Global events fired while some node holds a lazy boundary.
+    /// Global events fired while some node holds a node-local boundary.
     pub fired: FireLog,
     /// Optional structured trace.
     pub trace: Option<BoundedSink<TraceEvent>>,
@@ -154,8 +156,9 @@ pub(crate) struct SimKernel {
     /// Phase name of the event being handled (tests only).
     #[cfg(test)]
     pub handling: &'static str,
-    /// Every same-µs meeting of a node-local boundary with an observer,
-    /// as `(observer, boundary went first)` (tests only).
+    /// Every same-µs meeting of a node-local boundary or a chain
+    /// completion with another event, as `(class, which went first)`
+    /// (tests only; see `tie_tests`).
     #[cfg(test)]
     pub ties: Vec<(&'static str, bool)>,
 }
@@ -205,8 +208,7 @@ impl SimKernel {
 const FIRE_LOG_START: usize = 1024;
 
 /// One entry of the [`FireLog`]: a global event, with the tie slot current
-/// just before it fired. Tie slots are even, so bit 0 is free: it marks
-/// the first link of a chain burst, whose last link is the next entry.
+/// just before it fired.
 #[derive(Debug, Clone, Copy)]
 struct Fired {
     at: SimTime,
@@ -218,107 +220,60 @@ impl Fired {
     fn key(&self) -> u128 {
         pack(self.at, self.seq)
     }
-
-    fn tie(&self) -> u64 {
-        self.tie & !1
-    }
-
-    fn opens_burst(&self) -> bool {
-        self.tie & 1 == 1
-    }
 }
 
-/// The global events fired while some node holds a lazy boundary, in fire
-/// order (which is key order), with the tie slot current before each. A lazy
-/// boundary's exact tie slot is a function of the boundary that armed it:
-/// the tie slot just before the first global event to fire after that
-/// boundary's key ([`FireLog::tie_after`]). Kept only while some node
-/// holds a lazy boundary, and trimmed to the stalest pending boundary at
-/// every `Sample` and whenever it is about to grow.
-///
-/// A chain burst's links are logged as its first and last link only: link
-/// `j` of a burst that starts with tie slot `T` sits at seq `T + 2j − 1`
-/// (`j ≥ 1`; each link allocates the next one's seq and nothing else) and
-/// fires with tie slot `T + 2j`, the links evenly spaced in between.
+/// The global events fired while some node holds a node-local boundary,
+/// in fire order (which is key order), with the tie slot current before
+/// each. A node-local boundary's exact tie slot is a function of the
+/// boundary that armed it: the tie slot just before the first global
+/// event to fire after that boundary's key ([`FireLog::tie_after`]). Kept
+/// only while some node holds such a boundary, and trimmed to the
+/// stalest pending boundary whenever it is about to grow (and at a
+/// `Sample` of background-only nodes).
 #[derive(Debug, Default)]
 pub(crate) struct FireLog {
     events: Vec<Fired>,
 }
 
 impl FireLog {
-    /// True if the next [`Self::push`] could grow the log. The first call
+    /// True if the next [`Self::push`] would grow the log. The first call
     /// reserves the log's starting room instead, in one go.
     #[inline]
     pub fn would_grow(&mut self) -> bool {
         if self.events.capacity() == 0 {
             self.events.reserve_exact(FIRE_LOG_START);
         }
-        self.events.capacity() - self.events.len() < 2
+        self.events.len() == self.events.capacity()
     }
 
-    /// Logs `n` global events, the first fired at `(at, seq)` with tie
-    /// slot `tie`: one event, or (`n > 1`) a chain burst whose links are
-    /// `step` apart.
+    /// Logs a global event fired at `(at, seq)` with tie slot `tie`.
     #[inline]
-    pub fn push(&mut self, at: SimTime, seq: u64, tie: u64, n: u64, step: SimDuration) {
-        if n == 1 {
-            return self.events.push(Fired { at, seq, tie });
-        }
-        let last = n - 1;
-        self.events.push(Fired { at, seq, tie: tie | 1 });
-        self.events.push(Fired {
-            at: at + step * last,
-            seq: tie + 2 * last - 1,
-            tie: tie + 2 * last,
-        });
+    pub fn push(&mut self, at: SimTime, seq: u64, tie: u64) {
+        self.events.push(Fired { at, seq, tie });
     }
 
     /// The tie slot current just before the first logged event after the
-    /// key `(at, seq)`, or `current` if none has fired yet.
+    /// node-local boundary keyed `(at, seq)`, or `current` if none has
+    /// fired yet. Only a chain completion, itself keyed by a tie slot, can
+    /// share the boundary's key; it counts as before the boundary, because
+    /// every boundary at its key that precedes it was replayed before it
+    /// fired (`DispatchEngine::fire_completion`).
     pub fn tie_after(&self, at: SimTime, seq: u64, current: u64) -> u64 {
         let key = pack(at, seq);
-        let i = self.events.partition_point(|r| r.key() < key);
-        if let (Some(first), Some(last)) =
-            (i.checked_sub(1).map(|p| self.events[p]), self.events.get(i))
-        {
-            if first.opens_burst() {
-                // `key` falls inside the burst: find its first link after it.
-                let t0 = first.tie();
-                let step = last.at.since(first.at).as_micros() / ((last.tie - t0) / 2);
-                let mut j = (at.since(first.at).as_micros() / step).max(1);
-                let t = first.at + SimDuration::from_micros(step * j);
-                if t < at || (t == at && t0 + 2 * j - 1 < seq) {
-                    j += 1;
-                }
-                return t0 + 2 * j;
-            }
-        }
-        self.events.get(i).map_or(current, Fired::tie)
+        let i = self.events.partition_point(|r| r.key() <= key);
+        self.events.get(i).map_or(current, |r| r.tie)
     }
 
     /// True if a logged event fired at exactly `at`: only then does
     /// [`Self::tie_after`] depend on the seq it is given.
     pub fn fired_at(&self, at: SimTime) -> bool {
-        let i = self.events.partition_point(|r| r.at <= at);
-        let Some(r) = i.checked_sub(1).map(|p| self.events[p]) else {
-            return false;
-        };
-        if r.at == at {
-            return true;
-        }
-        // Inside a burst, `at` may fall on a link between its two entries.
-        self.events.get(i).filter(|_| r.opens_burst()).is_some_and(|last| {
-            let step = last.at.since(r.at).as_micros() / ((last.tie - r.tie()) / 2);
-            at.since(r.at).as_micros().is_multiple_of(step)
-        })
+        let i = self.events.partition_point(|r| r.at < at);
+        self.events.get(i).is_some_and(|r| r.at == at)
     }
 
-    /// Drops every event before `at`, keeping a burst whole.
+    /// Drops every event before `at`.
     pub fn trim_before(&mut self, at: SimTime) {
-        let mut i = self.events.partition_point(|r| r.at < at);
-        if i.checked_sub(1).is_some_and(|p| self.events[p].opens_burst()) {
-            i -= 1;
-        }
+        let i = self.events.partition_point(|r| r.at < at);
         self.events.drain(..i);
     }
 }
@@ -332,18 +287,17 @@ mod tests {
     }
 
     /// The log of this history: seqs 1 (A at 10 µs), 3 (B at 20 µs) and
-    /// 5 (a chain link at 30 µs) are allocated up front, so A fires with
-    /// tie slot 6 and allocates seq 7 (C at 47 µs). B fires with tie slot
-    /// 8. The chain bursts four links every 5 µs from 30 µs (seqs 5, 9,
-    /// 11, 13; tie slots 8, 10, 12, 14) and stops before C, which fires
-    /// with tie slot 16.
+    /// 5 (C at 30 µs) are allocated up front, so A fires with tie slot 6
+    /// and allocates seq 7 (D at 47 µs). B and C fire with tie slot 8. A
+    /// chain completion E, keyed by tie slot 8, fires at 47 µs after D,
+    /// which allocated nothing.
     fn log() -> FireLog {
         let mut l = FireLog::default();
-        let one = SimDuration::ZERO;
-        l.push(t(10), 1, 6, 1, one);
-        l.push(t(20), 3, 8, 1, one);
-        l.push(t(30), 5, 8, 4, SimDuration::from_micros(5));
-        l.push(t(47), 7, 16, 1, one);
+        l.push(t(10), 1, 6);
+        l.push(t(20), 3, 8);
+        l.push(t(30), 5, 8);
+        l.push(t(47), 7, 8);
+        l.push(t(47), 8, 8);
         l
     }
 
@@ -353,35 +307,27 @@ mod tests {
         assert_eq!(l.tie_after(t(5), 0, 99), 6);
         assert_eq!(l.tie_after(t(10), 0, 99), 6, "tie slot 0 precedes A's seq 1");
         assert_eq!(l.tie_after(t(10), 2, 99), 8, "tie slot 2 follows A");
-        assert_eq!(l.tie_after(t(25), 2, 99), 8);
-        assert_eq!(l.tie_after(t(30), 4, 99), 8, "before link 0 (seq 5)");
-        assert_eq!(l.tie_after(t(30), 6, 99), 10, "after link 0: link 1 next");
-        assert_eq!(l.tie_after(t(35), 8, 99), 10, "before link 1 (seq 9)");
-        assert_eq!(l.tie_after(t(35), 10, 99), 12, "after link 1");
-        assert_eq!(l.tie_after(t(44), 12, 99), 14, "link 3 at 45 µs next");
-        assert_eq!(l.tie_after(t(45), 12, 99), 14, "before link 3 (seq 13)");
-        assert_eq!(l.tie_after(t(45), 14, 99), 16, "after the burst: C");
-        assert_eq!(l.tie_after(t(47), 6, 99), 16, "before C (seq 7)");
-        assert_eq!(l.tie_after(t(47), 8, 99), 99, "nothing later: the current slot");
+        assert_eq!(l.tie_after(t(30), 4, 99), 8, "before C (seq 5)");
+        assert_eq!(l.tie_after(t(30), 6, 99), 8, "after C: D next");
+        assert_eq!(l.tie_after(t(47), 6, 99), 8, "before D (seq 7)");
+        assert_eq!(l.tie_after(t(47), 8, 99), 99, "a completion at the same key counts as before");
+        assert_eq!(l.tie_after(t(48), 0, 99), 99, "nothing later: the current slot");
     }
 
     #[test]
-    fn fired_at_sees_events_and_burst_links() {
+    fn fired_at_sees_logged_events_only() {
         let l = log();
         let hits: Vec<u64> = (0..60).filter(|&us| l.fired_at(t(us))).collect();
-        assert_eq!(hits, vec![10, 20, 30, 35, 40, 45, 47]);
+        assert_eq!(hits, vec![10, 20, 30, 47]);
     }
 
     #[test]
-    fn trim_keeps_bursts_that_reach_the_cut() {
+    fn trim_drops_events_before_the_cut() {
         let mut l = log();
         l.trim_before(t(21));
-        assert_eq!(l.events.len(), 3, "the burst (two entries) ends at 45");
-        l.trim_before(t(36));
-        assert_eq!(l.events.len(), 3, "a cut inside the burst keeps it whole");
-        assert!(l.fired_at(t(35)));
+        assert_eq!(l.events.len(), 3);
         assert!(!l.fired_at(t(20)));
-        assert!(l.fired_at(t(40)));
+        assert!(l.fired_at(t(30)));
         l.trim_before(t(48));
         assert!(l.events.is_empty());
     }

@@ -5,30 +5,33 @@
 //! are two kinds, each named by the event it stands for:
 //!
 //! - one per background generator: its next `BgPoll`;
-//! - one per node with stage jobs: its lone job's quantum chain (on the
-//!   reference path, any node's).
+//! - one per node running a lone stage job over several quanta: the
+//!   `Dispatch` that completes the job's quantum chain.
 //!
-//! A node running only background work arms no node lane: its slice
-//! boundaries draw no randomness and no other node sees them, so they
-//! stay node-local and are replayed only when something observes the node
-//! (see `crate::engine::dispatch`). Polls stay here, in global order,
-//! because every poll draws from the kernel's shared RNG stream.
+//! A chain's intermediate links arm no lane, and neither does any slice
+//! boundary of a node running only background work: they draw no
+//! randomness and no other node sees them, so they stay node-local and
+//! are replayed only when something observes the node (see
+//! `crate::engine::dispatch`). Polls stay here, in global order, because
+//! every poll draws from the kernel's shared RNG stream.
 //!
 //! [`Lanes`] owns each lane's live `(at, seq)` key and a lazy min-heap
-//! over the keys, the kernel's shared [`KHeap`]. The seq is allocated
-//! from the event queue at the exact program point where the reference
-//! path would `schedule` the event, so same-time tie-breaking is
-//! bit-identical to running it as a heap event.
+//! over the keys, the kernel's shared [`KHeap`]. A poll's seq is
+//! allocated from the event queue at the exact program point where the
+//! reference path would `schedule` the event, so same-time tie-breaking
+//! is bit-identical to running it as a heap event. A chain completion is
+//! keyed by a tie slot instead ([`crate::event::EventQueue::tie_seq`]),
+//! which other completions may share.
 //! A lane is changed only through [`Lanes::arm`] and [`Lanes::disarm`];
 //! either may leave an earlier heap entry behind, and one liveness rule
-//! sorts them out on [`Lanes::peek`]: an entry is live iff its seq equals
-//! its lane's key (seqs are unique for the lifetime of a run).
+//! sorts them out on [`Lanes::peek`]: an entry is live iff its key equals
+//! its lane's key.
 //!
 //! The common path fires a lane and re-arms it from the handler: the
 //! fired entry is still the heap top, so `arm` rewrites it in place — one
 //! sift, no push. Stale entries only arise from rare mode transitions
-//! (a chain materialized as a real event, a dead node, a retired
-//! generator).
+//! (a chain materialized as a real event or re-keyed exactly, a dead
+//! node, a retired generator).
 //!
 //! [`EventQueue`]: crate::event::EventQueue
 
@@ -38,19 +41,20 @@ use crate::time::SimTime;
 /// A lane, named by the event it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneRef {
-    /// Node `i`'s next `Dispatch`.
+    /// Node `i`'s lone stage job's chain completion.
     Dispatch(u32),
     /// Generator `g`'s next `BgPoll`.
     BgPoll(u32),
 }
 
 /// One heap entry. Ordered by `(at, seq)` like the real event queue;
-/// `lane` never decides the order because seqs are unique.
+/// `lane` never decides the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LaneEntry {
     /// When the lane fires.
     pub at: SimTime,
-    /// The event-queue sequence number reserved for this firing.
+    /// The event-queue sequence number reserved for this firing, or a
+    /// tie slot.
     pub seq: u64,
     /// The lane that owns this key.
     pub lane: LaneRef,
@@ -70,7 +74,7 @@ pub(crate) type LaneKey = (SimTime, u64);
 #[derive(Debug, Default)]
 pub(crate) struct Lanes {
     heap: KHeap<LaneEntry>,
-    /// Live key of each node's `Dispatch` lane (a quantum chain).
+    /// Live key of each node's `Dispatch` lane (a chain completion).
     dispatch: Vec<Option<LaneKey>>,
     /// Live key of each generator's `BgPoll` lane.
     bg_poll: Vec<Option<LaneKey>>,
@@ -125,7 +129,7 @@ impl Lanes {
     #[inline(always)]
     pub fn peek(&mut self) -> Option<LaneEntry> {
         while let Some(e) = self.heap.peek() {
-            if self.key(e.lane).is_some_and(|(_, seq)| seq == e.seq) {
+            if self.key(e.lane) == Some((e.at, e.seq)) {
                 return Some(e);
             }
             self.heap.pop();
@@ -137,8 +141,7 @@ impl Lanes {
     /// min-heap the runner-up is one of the root's two children, so this
     /// is two slice reads. The result may belong to a stale entry; by the
     /// heap property it is still a lower bound on every other live key,
-    /// which is all a burst of top-lane self-reschedules needs: it stops
-    /// at the bound rather than relying on it being live.
+    /// which is all a same-µs contention check needs.
     #[inline(always)]
     pub fn runner_up(&self) -> Option<LaneKey> {
         let s = self.heap.as_slice();
@@ -153,6 +156,15 @@ impl Lanes {
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Every armed lane with its live key.
+    #[cfg(test)]
+    pub fn live(&self) -> Vec<(LaneRef, LaneKey)> {
+        let node = |(i, k): (usize, &Option<LaneKey>)| k.map(|k| (LaneRef::Dispatch(i as u32), k));
+        let gen = |(g, k): (usize, &Option<LaneKey>)| k.map(|k| (LaneRef::BgPoll(g as u32), k));
+        let nodes = self.dispatch.iter().enumerate().filter_map(node);
+        nodes.chain(self.bg_poll.iter().enumerate().filter_map(gen)).collect()
     }
 }
 
