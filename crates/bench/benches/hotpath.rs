@@ -5,12 +5,15 @@
 //!
 //! The first row, `hotpath/reference_kernel`, times a fixed kernel that
 //! uses none of the workspace's code, so it measures only how fast the
-//! host runs right now. CI runs this bench in quick mode and compares
-//! every row, divided by the reference row of its own run, against the
-//! same ratio in the last record of the checked-in `BENCH_hotpath.json`
-//! trajectory (see `scripts/check_bench_regression.py`). A slower or
-//! loaded host slows both sides of the ratio, so the bound does not
-//! depend on the host that recorded the baseline. Record a new baseline
+//! host runs right now; the last row, `hotpath/reference_kernel_end`,
+//! times it again. CI runs this bench in quick mode and compares every
+//! row, divided by the mean of its own run's two reference rows, against
+//! the same ratio in the last record of the checked-in
+//! `BENCH_hotpath.json` trajectory (see
+//! `scripts/check_bench_regression.py`). A slower or loaded host slows
+//! both sides of the ratio, so the bound does not depend on the host that
+//! recorded the baseline, and timing the reference at both ends keeps one
+//! slow sample from loosening the bound. Record a new baseline
 //! (full budget, all rows) with:
 //!
 //! ```text
@@ -30,7 +33,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(10);
 
-    // Host calibration: the gate divides every other row by this one.
+    // Host calibration: the gate divides every other row by the mean of
+    // this row and `reference_kernel_end`, the last.
     assert_eq!(reference::kernel(), reference::CHECKSUM, "reference kernel checksum");
     g.bench_function("reference_kernel", |b| b.iter(reference::kernel));
 
@@ -109,6 +113,10 @@ fn bench(c: &mut Criterion) {
             *rls.theta()
         })
     });
+
+    // The host-speed reference again, after every other row.
+    assert_eq!(reference::kernel(), reference::CHECKSUM, "reference kernel checksum");
+    g.bench_function("reference_kernel_end", |b| b.iter(reference::kernel));
 
     g.finish();
 }
