@@ -348,13 +348,6 @@ impl DispatchEngine {
         next
     }
 
-    /// True if node `i`'s pending boundary is its stage job's chain
-    /// completion, which is not node-local: it fires from the lane.
-    fn at_completion(&self, k: &SimKernel, i: usize) -> bool {
-        k.lanes.key(LaneRef::Dispatch(i as u32)).is_some()
-            && self.lazy[i].next.map(|(at, _)| at) == self.chains[i].map(|c| c.completion)
-    }
-
     /// Replays `node`'s lazy boundaries that precede the event being
     /// handled (`k.event`) in eager order: every one before its µs, and
     /// one at its µs iff its exact tie slot sorts first. The next one is
@@ -368,7 +361,6 @@ impl DispatchEngine {
         self.replay_before(k, i, t);
         if self.lazy[i].next.is_some_and(|(at, _)| at == t) {
             let first = self.resolve(k, i) < seq;
-            debug_assert!(!first || !self.at_completion(k, i), "a chain completion fires from its lane");
             #[cfg(test)]
             {
                 k.ties.push((k.handling, first));
@@ -440,40 +432,38 @@ impl DispatchEngine {
     /// The exact tie slot of node `i`'s pending boundary, which becomes
     /// its new anchor (with the last replayed boundary as its armer).
     fn resolve(&mut self, k: &SimKernel, i: usize) -> u64 {
-        let q = self.nodes[i].sched.quantum().unwrap_or(SimDuration::ZERO);
+        let (slot, armer) = self.slot_after(k, i, 0);
         let lz = &mut self.lazy[i];
-        let (at, seq) = lz.next.expect("a pending boundary");
-        if lz.replayed.is_empty() {
-            return seq;
-        }
-        let (seq, armer) = walk(k, q, lz.anchor, &lz.replayed, None);
         lz.replayed.clear();
-        lz.next = Some((at, seq));
-        (lz.armer, lz.via) = (armer, Via::After);
-        seq
+        lz.next = lz.next.map(|(at, _)| (at, slot));
+        (lz.armer, lz.via) = armer;
+        slot
+    }
+
+    /// The exact tie slot of the boundary `links` chain links after node
+    /// `i`'s pending one (`0`: the pending one itself), and its armer.
+    /// Nothing is replayed.
+    fn slot_after(&self, k: &SimKernel, i: usize, links: u64) -> (u64, (LaneKey, Via)) {
+        let (q, lz) = (self.nodes[i].sched.quantum().unwrap_or(SimDuration::ZERO), &self.lazy[i]);
+        let (at, seq) = lz.next.expect("a pending boundary");
+        if lz.replayed.is_empty() && links == 0 {
+            return (seq, (lz.armer, lz.via));
+        }
+        let anchor = if lz.replayed.is_empty() { seq } else { lz.anchor };
+        let (slot, armer) = walk(k, q, anchor, &lz.replayed, (links > 0).then_some((at, links)));
+        (slot, (armer, Via::After))
     }
 
     /// The exact key of node `i`'s stage-job chain completion: its tie
-    /// slot, and the key of the penultimate link that armed it. The links
-    /// not yet replayed are walked as one more run; nothing is replayed.
+    /// slot, and the key of the penultimate link that armed it.
     fn exact_completion(&mut self, k: &SimKernel, i: usize) -> (u64, (LaneKey, Via)) {
         let c = self.chains[i].expect("a chain");
         if let Some(exact) = c.exact {
             return exact;
         }
-        let lz = &self.lazy[i];
-        let (at, seq) = lz.next.expect("a pending boundary");
-        let exact = if at < c.completion {
-            let links = c.completion.since(at).as_micros().div_ceil(c.quantum.as_micros());
-            let anchor = if lz.replayed.is_empty() { seq } else { lz.anchor };
-            let (seq, armer) = walk(k, c.quantum, anchor, &lz.replayed, Some((at, links)));
-            (seq, (armer, Via::After))
-        } else if lz.replayed.is_empty() {
-            (seq, (lz.armer, lz.via))
-        } else {
-            let (seq, armer) = walk(k, c.quantum, lz.anchor, &lz.replayed, None);
-            (seq, (armer, Via::After))
-        };
+        let (at, _) = self.lazy[i].next.expect("a pending boundary");
+        let links = c.completion.since(at).as_micros().div_ceil(c.quantum.as_micros());
+        let exact = self.slot_after(k, i, links);
         self.chains[i] = Some(DispatchChain { exact: Some(exact), ..c });
         exact
     }
@@ -575,7 +565,7 @@ impl DispatchEngine {
         debug_assert_eq!(key, (t, seq), "a materialized dispatch fires at its key");
         let mut w = i;
         for (m, pending) in self.materialized.iter().enumerate() {
-            if let Some((_, r)) = pending.filter(|&(km, r)| km == key && self.precedes(r, rank)) {
+            if let Some((_, r)) = pending.filter(|&(km, r)| m != i && km == key && self.precedes(r, rank)) {
                 (w, rank) = (m, r);
             }
         }
@@ -884,17 +874,9 @@ impl DispatchEngine {
     /// The tie slot of stage chain `j`'s link at `s` (not before its
     /// pending one), or 0 if it was replayed already (it fired first).
     fn slot_at(&self, k: &SimKernel, j: usize, s: SimTime) -> u64 {
-        let (q, lz) = (self.chains[j].expect("a chain").quantum, &self.lazy[j]);
-        let (at, seq) = lz.next.expect("a pending boundary");
-        if at > s {
-            return 0;
-        }
-        let links = s.since(at).as_micros() / q.as_micros();
-        if lz.replayed.is_empty() && links == 0 {
-            return seq;
-        }
-        let anchor = if lz.replayed.is_empty() { seq } else { lz.anchor };
-        walk(k, q, anchor, &lz.replayed, (links > 0).then_some((at, links))).0
+        let (at, _) = self.lazy[j].next.expect("a pending boundary");
+        let q = self.chains[j].expect("a chain").quantum;
+        if at > s { 0 } else { self.slot_after(k, j, s.since(at).as_micros() / q.as_micros()).0 }
     }
 }
 
@@ -917,23 +899,24 @@ fn walk(
     let count = runs.len() + extra.is_some() as usize;
     let run = |r: usize| runs.get(r).copied().or(extra).expect("a run");
     let (log, current) = (&k.fired, k.queue.tie_seq());
-    let mut start = (0, 0, anchor);
+    let mut start = None;
     'search: for r in (0..count).rev() {
         let (t0, n) = run(r);
         for j in (0..n - (r + 1 == count) as u64).rev() {
             let at = t0 + q * j;
-            if !log.fired_at(at) {
-                let seq = log.tie_after(at, 0, current);
-                start = if j + 1 < n { (r, j + 1, seq) } else { (r + 1, 0, seq) };
+            let i = log.seek(at);
+            if !log.fired_at(i, at) {
+                let next = if j + 1 < n { (r, j + 1) } else { (r + 1, 0) };
+                start = Some((next, i, log.tie_at(i, current)));
                 break 'search;
             }
         }
     }
-    let (mut r, mut j, mut seq) = start;
+    let ((mut r, mut j), mut i, mut seq) = start.unwrap_or_else(|| ((0, 0), log.seek(run(0).0), anchor));
     loop {
         let (t0, n) = run(r);
         let at = t0 + q * j;
-        let next = log.tie_after(at, seq, current);
+        let next = log.tie_after(&mut i, at, seq, current);
         if r + 1 == count && j + 1 == n {
             return (next, (at, seq));
         }

@@ -252,23 +252,48 @@ impl FireLog {
         self.events.push(Fired { at, seq, tie });
     }
 
-    /// The tie slot current just before the first logged event after the
-    /// node-local boundary keyed `(at, seq)`, or `current` if none has
-    /// fired yet. Only a chain completion, itself keyed by a tie slot, can
-    /// share the boundary's key; it counts as before the boundary, because
-    /// every boundary at its key that precedes it was replayed before it
-    /// fired (`DispatchEngine::fire_completion`).
-    pub fn tie_after(&self, at: SimTime, seq: u64, current: u64) -> u64 {
-        let key = pack(at, seq);
-        let i = self.events.partition_point(|r| r.key() <= key);
+    /// The index of the first logged event at or after `at`. Most lookups
+    /// are for boundaries just before the event being handled, so the
+    /// last few entries are probed before a binary search.
+    pub fn seek(&self, at: SimTime) -> usize {
+        let mut i = self.events.len();
+        for _ in 0..8 {
+            if i == 0 || self.events[i - 1].at < at {
+                return i;
+            }
+            i -= 1;
+        }
+        self.events[..i].partition_point(|r| r.at < at)
+    }
+
+    /// True if the event at index `i`, from [`Self::seek`]`(at)`, fired
+    /// at exactly `at`: only then does [`Self::tie_after`] at `at` depend
+    /// on the seq it is given.
+    pub fn fired_at(&self, i: usize, at: SimTime) -> bool {
+        self.events.get(i).is_some_and(|r| r.at == at)
+    }
+
+    /// The tie slot current just before the event at index `i`, or
+    /// `current` past the last one.
+    pub fn tie_at(&self, i: usize, current: u64) -> u64 {
         self.events.get(i).map_or(current, |r| r.tie)
     }
 
-    /// True if a logged event fired at exactly `at`: only then does
-    /// [`Self::tie_after`] depend on the seq it is given.
-    pub fn fired_at(&self, at: SimTime) -> bool {
-        let i = self.events.partition_point(|r| r.at < at);
-        self.events.get(i).is_some_and(|r| r.at == at)
+    /// The tie slot current just before the first logged event after the
+    /// node-local boundary keyed `(at, seq)`, or `current` if none has
+    /// fired yet. Scans forward from index `*i`, which must not be past
+    /// that event, and leaves `*i` on it, so a walk over boundaries in key
+    /// order reads the log once. Only an event keyed by a tie slot (a
+    /// chain completion or a materialized boundary) can share the
+    /// boundary's key; it counts as before the boundary, because every
+    /// boundary at its key that precedes it was replayed before it fired
+    /// (`DispatchEngine::order_at`).
+    pub fn tie_after(&self, i: &mut usize, at: SimTime, seq: u64, current: u64) -> u64 {
+        let key = pack(at, seq);
+        while self.events.get(*i).is_some_and(|r| r.key() <= key) {
+            *i += 1;
+        }
+        self.tie_at(*i, current)
     }
 
     /// Drops every event before `at`.
@@ -304,21 +329,27 @@ mod tests {
     #[test]
     fn tie_after_finds_the_first_later_event() {
         let l = log();
-        assert_eq!(l.tie_after(t(5), 0, 99), 6);
-        assert_eq!(l.tie_after(t(10), 0, 99), 6, "tie slot 0 precedes A's seq 1");
-        assert_eq!(l.tie_after(t(10), 2, 99), 8, "tie slot 2 follows A");
-        assert_eq!(l.tie_after(t(30), 4, 99), 8, "before C (seq 5)");
-        assert_eq!(l.tie_after(t(30), 6, 99), 8, "after C: D next");
-        assert_eq!(l.tie_after(t(47), 6, 99), 8, "before D (seq 7)");
-        assert_eq!(l.tie_after(t(47), 8, 99), 99, "a completion at the same key counts as before");
-        assert_eq!(l.tie_after(t(48), 0, 99), 99, "nothing later: the current slot");
+        let after = |us: u64, seq: u64| l.tie_after(&mut 0, t(us), seq, 99);
+        assert_eq!(after(5, 0), 6);
+        assert_eq!(after(10, 0), 6, "tie slot 0 precedes A's seq 1");
+        assert_eq!(after(10, 2), 8, "tie slot 2 follows A");
+        assert_eq!(after(30, 4), 8, "before C (seq 5)");
+        assert_eq!(after(30, 6), 8, "after C: D next");
+        assert_eq!(after(47, 6), 8, "before D (seq 7)");
+        assert_eq!(after(47, 8), 99, "a completion at the same key counts as before");
+        assert_eq!(after(48, 0), 99, "nothing later: the current slot");
+        // A walk scans forward from where the last lookup stopped.
+        let mut i = l.seek(t(20));
+        assert_eq!((l.tie_after(&mut i, t(20), 4, 99), i), (8, 2));
+        assert_eq!((l.tie_after(&mut i, t(47), 6, 99), i), (8, 3));
     }
 
     #[test]
     fn fired_at_sees_logged_events_only() {
         let l = log();
-        let hits: Vec<u64> = (0..60).filter(|&us| l.fired_at(t(us))).collect();
+        let hits: Vec<u64> = (0..60).filter(|&us| l.fired_at(l.seek(t(us)), t(us))).collect();
         assert_eq!(hits, vec![10, 20, 30, 47]);
+        assert_eq!(l.tie_at(l.seek(t(25)), 99), 8, "before C");
     }
 
     #[test]
@@ -326,8 +357,8 @@ mod tests {
         let mut l = log();
         l.trim_before(t(21));
         assert_eq!(l.events.len(), 3);
-        assert!(!l.fired_at(t(20)));
-        assert!(l.fired_at(t(30)));
+        assert!(!l.fired_at(l.seek(t(20)), t(20)));
+        assert!(l.fired_at(l.seek(t(30)), t(30)));
         l.trim_before(t(48));
         assert!(l.events.is_empty());
     }

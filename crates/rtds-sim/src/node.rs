@@ -20,12 +20,12 @@ pub struct Running {
     /// Scheduled end of the slice (quantum boundary or job completion).
     pub slice_end: SimTime,
     /// Handle of the pending dispatch event, for cancellation on reconfig.
-    /// `None` while the slice end is carried off the heap: on the node's
-    /// virtual lane (a dispatch chain: a lone job whose per-quantum
-    /// dispatches are elided) or, with the background-load fast path,
-    /// node-locally (any boundary of a node running only background
-    /// jobs). Neither needs cancellation — disarming the lane invalidates
-    /// its heap entry, and a node-local boundary is simply dropped.
+    /// `None` while the slice end is carried off the heap, node-locally
+    /// (a lone job's quantum chain, whose completion a stage job also
+    /// arms on the node's lane, or any boundary of a node running only
+    /// background jobs). Neither needs cancellation — disarming the lane
+    /// invalidates its heap entry, and a node-local boundary is simply
+    /// dropped.
     pub dispatch_handle: Option<EventHandle>,
 }
 

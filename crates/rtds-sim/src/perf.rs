@@ -52,9 +52,9 @@ pub struct PerfReport {
     /// Wall nanoseconds inside the controller (subset of the
     /// `period_release` phase).
     pub controller_ns: u64,
-    /// Intermediate links of the virtual dispatch chains: per-quantum
-    /// dispatches of lone jobs, replayed in bursts on the node lanes or
-    /// node-locally, without a round-trip through the event heap.
+    /// Intermediate links of the dispatch chains: per-quantum dispatches
+    /// of lone jobs, replayed node-locally in closed form, without a
+    /// round-trip through the event heap (untimed).
     pub elided_dispatches: u64,
     /// `BgPoll` events fired from the generator lanes of the
     /// background-load fast path instead of the event heap (untimed).
@@ -117,7 +117,7 @@ impl PerfReport {
         if self.elided_dispatches > 0 {
             let _ = writeln!(
                 out,
-                "  {:<16} {:>12} {:>12} {:>10} (virtual chain, no heap round-trip)",
+                "  {:<16} {:>12} {:>12} {:>10} (chain link, node-local replay)",
                 "dispatch-elided", self.elided_dispatches, "-", "-"
             );
         }
