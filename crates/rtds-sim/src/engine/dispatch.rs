@@ -77,9 +77,6 @@ pub(crate) struct DispatchChain {
     pub completion: SimTime,
     /// The node's scheduling quantum (chains only exist under a quantum).
     pub quantum: SimDuration,
-    /// A stage job's completion, once its exact key is known: its tie
-    /// slot and the key of the penultimate link that armed it.
-    exact: Option<(u64, (LaneKey, Via))>,
 }
 
 /// Replayed runs a node keeps before it pins its pending boundary's exact
@@ -152,6 +149,9 @@ pub(crate) struct LazyNode {
     /// whether that chain's links fire first (see
     /// [`DispatchEngine::place_chain`]).
     follows: Vec<(u64, bool)>,
+    /// A stage job's chain completion, once its exact key is known: its
+    /// tie slot and the key of the penultimate link that armed it.
+    exact: Option<(u64, (LaneKey, Via))>,
     /// The boundaries replayed since the last exact slot, as runs
     /// `(time, count)`: a slice end is a run of one, and chain links
     /// replayed together are a run one quantum apart.
@@ -457,14 +457,14 @@ impl DispatchEngine {
     /// The exact key of node `i`'s stage-job chain completion: its tie
     /// slot, and the key of the penultimate link that armed it.
     fn exact_completion(&mut self, k: &SimKernel, i: usize) -> (u64, (LaneKey, Via)) {
-        let c = self.chains[i].expect("a chain");
-        if let Some(exact) = c.exact {
+        if let Some(exact) = self.lazy[i].exact {
             return exact;
         }
+        let c = self.chains[i].expect("a chain");
         let (at, _) = self.lazy[i].next.expect("a pending boundary");
         let links = c.completion.since(at).as_micros().div_ceil(c.quantum.as_micros());
         let exact = self.slot_after(k, i, links);
-        self.chains[i] = Some(DispatchChain { exact: Some(exact), ..c });
+        self.lazy[i].exact = Some(exact);
         exact
     }
 
@@ -786,7 +786,7 @@ impl DispatchEngine {
             // right here.
             Some(q) if lone && remaining > q && self.bg_ff => {
                 let completion = now + remaining;
-                let chain = DispatchChain { completion, quantum: q, exact: None };
+                let chain = DispatchChain { completion, quantum: q };
                 self.arm_lane(k, now + q, node, Some(chain));
                 (completion, None)
             }
@@ -844,8 +844,11 @@ impl DispatchEngine {
         }
         if let Some(c) = chain.filter(|_| !self.bg_only(i)) {
             k.lanes.arm(LaneRef::Dispatch(i as u32), c.completion, tie);
+            self.lazy[i].exact = None;
             self.chain_lanes += 1;
-            self.place_chain(k, i, at - c.quantum);
+            if self.chain_lanes > 1 {
+                self.place_chain(k, i, at - c.quantum);
+            }
         }
     }
 
@@ -858,9 +861,12 @@ impl DispatchEngine {
     fn place_chain(&mut self, k: &SimKernel, i: usize, s: SimTime) {
         let q = self.chains[i].expect("a chain").quantum;
         for j in 0..self.nodes.len() {
+            if j == i || k.lanes.key(LaneRef::Dispatch(j as u32)).is_none() {
+                continue;
+            }
             let (Some(c), Some(r)) = (self.chains[j], self.nodes[j].running.as_ref()) else { continue };
             let start = r.slice_start;
-            if j == i || k.lanes.key(LaneRef::Dispatch(j as u32)).is_none() || start >= s {
+            if start >= s {
                 continue;
             }
             if s.since(start).as_micros().is_multiple_of(q.as_micros()) && s < c.completion {
