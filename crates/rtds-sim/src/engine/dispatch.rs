@@ -497,14 +497,22 @@ impl DispatchEngine {
     /// peeks again. Completions sharing the exact key, and a materialized
     /// boundary at the queue head that shares it too, are ordered by
     /// [`Rank`].
+    #[inline]
     pub fn contend(&mut self, k: &mut SimKernel, e: LaneEntry, queue_key: Option<LaneKey>) -> Next {
+        let same_us = |key: Option<LaneKey>| key.is_some_and(|(at, _)| at == e.at);
+        if !same_us(queue_key) && !same_us(k.lanes.runner_up()) {
+            return Next::Lane(e);
+        }
+        self.contend_at(k, e, queue_key)
+    }
+
+    /// [`Self::contend`] against an event at the completion's µs.
+    #[cold]
+    #[inline(never)]
+    fn contend_at(&mut self, k: &mut SimKernel, e: LaneEntry, queue_key: Option<LaneKey>) -> Next {
         let LaneRef::Dispatch(i) = e.lane else { return Next::Lane(e) };
         let i = i as usize;
         let runner = k.lanes.runner_up();
-        let same_us = |key: Option<LaneKey>| key.is_some_and(|(at, _)| at == e.at);
-        if !same_us(queue_key) && !same_us(runner) {
-            return Next::Lane(e);
-        }
         let (seq, armer) = self.exact_completion(k, i);
         #[cfg(test)]
         self.tally_contention(k, i, e.at, seq, queue_key);
@@ -560,8 +568,18 @@ impl DispatchEngine {
     /// popped event is handed to that node and its pending one to node
     /// `i`. Node-local boundaries at its key are then ordered against it
     /// ([`Self::order_at`]). Returns the node to dispatch.
-    pub fn fire_heap_dispatch(&mut self, k: &mut SimKernel, i: usize, (t, seq): LaneKey) -> NodeId {
-        let Some((key, mut rank)) = self.materialized[i] else { return NodeId(i as u32) };
+    #[inline]
+    pub fn fire_heap_dispatch(&mut self, k: &mut SimKernel, i: usize, key: LaneKey) -> NodeId {
+        match self.materialized[i] {
+            None => NodeId(i as u32),
+            Some(_) => self.fire_materialized(k, i, key),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fire_materialized(&mut self, k: &mut SimKernel, i: usize, (t, seq): LaneKey) -> NodeId {
+        let Some((key, mut rank)) = self.materialized[i] else { unreachable!("checked by the caller") };
         debug_assert_eq!(key, (t, seq), "a materialized dispatch fires at its key");
         let mut w = i;
         for (m, pending) in self.materialized.iter().enumerate() {
