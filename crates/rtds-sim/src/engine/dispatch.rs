@@ -572,15 +572,17 @@ impl DispatchEngine {
     pub fn fire_heap_dispatch(&mut self, k: &mut SimKernel, i: usize, key: LaneKey) -> NodeId {
         match self.materialized[i] {
             None => NodeId(i as u32),
-            Some(_) => self.fire_materialized(k, i, key),
+            Some((pending, rank)) => {
+                debug_assert_eq!(pending, key, "a materialized dispatch fires at its key");
+                self.fire_materialized(k, i, key, rank)
+            }
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn fire_materialized(&mut self, k: &mut SimKernel, i: usize, (t, seq): LaneKey) -> NodeId {
-        let Some((key, mut rank)) = self.materialized[i] else { unreachable!("checked by the caller") };
-        debug_assert_eq!(key, (t, seq), "a materialized dispatch fires at its key");
+    fn fire_materialized(&mut self, k: &mut SimKernel, i: usize, key: LaneKey, mut rank: Rank) -> NodeId {
+        let (t, seq) = key;
         let mut w = i;
         for (m, pending) in self.materialized.iter().enumerate() {
             if let Some((_, r)) = pending.filter(|&(km, r)| m != i && km == key && self.precedes(r, rank)) {
@@ -636,9 +638,9 @@ impl DispatchEngine {
         }
     }
 
-    /// True if node `j` holds a node-local boundary at `t`, the µs of a
-    /// chain completion about to fire. A chain's links are found in closed
-    /// form; a background-only node is replayed up to `t`.
+    /// True if node `j` holds a node-local boundary at `t`, the µs of an
+    /// event keyed by a tie slot about to fire. A chain's links are found
+    /// in closed form; a background-only node is replayed up to `t`.
     fn boundary_at(&mut self, k: &mut SimKernel, j: usize, t: SimTime) -> bool {
         let Some((at, _)) = self.lazy[j].next else { return false };
         if at > t {
