@@ -1,4 +1,4 @@
-//! Exact deterministic work counters of two small fixed clusters.
+//! Exact deterministic work counters of small fixed clusters.
 //!
 //! The counters a `PerfReport` carries — heap traffic, events by kind,
 //! the three lane-fire counts and the RNG draws — are exact functions of
@@ -110,5 +110,44 @@ fn ambient_only_cluster_with_a_crash_restart_and_a_permanent_failure() {
         counters(cluster),
         "scheduled=53 popped=53 cancelled=0 sample=50 node_fail=1 node_crash=1 node_restart=1 \
          elided_dispatches=5841 elided_bg_polls=11314 elided_bg_dispatches=22777 rng_draws=22648"
+    );
+}
+
+#[test]
+fn ambient_only_fifo_cluster() {
+    // Eight task-less FIFO nodes under 60 % Poisson load: every job runs
+    // to completion in one slice, so no job is ever requeued.
+    let mut cluster = Cluster::new(ClusterConfig {
+        n_nodes: 8,
+        scheduler: SchedulerKind::Fifo,
+        ..ClusterConfig::paper_baseline(13, SimDuration::from_secs(5))
+    });
+    for n in 0..8 {
+        cluster.add_load(poisson(n, 0.6));
+    }
+    assert_eq!(
+        counters(cluster),
+        "scheduled=50 popped=50 cancelled=0 sample=50 elided_dispatches=0 \
+         elided_bg_polls=12046 elided_bg_dispatches=12033 rng_draws=24116"
+    );
+}
+
+#[test]
+fn ambient_only_static_priority_cluster() {
+    // Eight task-less nodes under static priority with a 1 ms slice and
+    // 60 % Poisson load. Background jobs all sit at priority 1, so every
+    // job shares one level and rotates through it as under round-robin.
+    let mut cluster = Cluster::new(ClusterConfig {
+        n_nodes: 8,
+        scheduler: SchedulerKind::StaticPriority { quantum_us: Some(1_000) },
+        ..ClusterConfig::paper_baseline(17, SimDuration::from_secs(5))
+    });
+    for n in 0..8 {
+        cluster.add_load(poisson(n, 0.6));
+    }
+    assert_eq!(
+        counters(cluster),
+        "scheduled=50 popped=50 cancelled=0 sample=50 elided_dispatches=6161 \
+         elided_bg_polls=12009 elided_bg_dispatches=24494 rng_draws=24042"
     );
 }
