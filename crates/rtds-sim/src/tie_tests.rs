@@ -345,15 +345,111 @@ fn random_clusters_match_the_reference_path() {
         c
     };
     let mut met: Vec<(&'static str, bool)> = Vec::new();
-    for v in 0..300 {
-        let (fast, ties) = run(build(v, true));
-        let reference = run(build(v, false)).0;
-        assert_eq!(fast, reference, "variant {v}");
-        met.extend(ties);
+    let mut heavy: Vec<(&'static str, bool)> = Vec::new();
+    for (build, variants, met) in [(build as fn(u64, bool) -> Cluster, 300, &mut met), (heavy_cluster, 60, &mut heavy)] {
+        for v in 0..variants {
+            let (fast, ties) = run(build(v, true));
+            let reference = run(build(v, false)).0;
+            assert_eq!(fast, reference, "variant {v}");
+            met.extend(ties);
+        }
     }
+    // How often the background-heavy class's replays met each of their
+    // edges: a slice end with at least three jobs queued behind it, a
+    // catch-up long enough to pin its slot at `REPLAYED_MAX`, a completion
+    // whose lone successor starts a chain, and a stage admission at the µs
+    // of a plain slice end. The counts are exact functions of the class.
+    let cases = ["deep_queue", "replayed_max", "lone_chain_after_completion", "stage_admission_at_slice_end"];
+    let counts = cases.map(|case| heavy.iter().filter(|&&(c, first)| c == case && first).count());
+    assert!(counts.iter().all(|&n| n > 0), "a replay edge never occurred: {cases:?} {counts:?}");
+    assert_eq!(counts, [70_930, 1_737, 17_362, 214], "{cases:?}");
+    met.append(&mut heavy);
     met.sort_unstable();
     met.dedup();
     for class in ["completion_vs_heap", "completion_vs_poll", "completion_vs_completion", "stage_link"] {
         assert!(met.iter().any(|&(c, _)| c == class), "no {class} tie (met: {met:?})");
     }
+}
+
+/// The random family's background-heavy class: 2–5 nodes under 80–95 %
+/// background load, round-robin or static priority with a 1 ms slice, so
+/// most nodes run background work only, their ready queues run deep and
+/// they stay busy through long stretches. Half the nodes carry fixed-phase
+/// periodic load of whole-ms demand and one light task has whole-ms stage
+/// demands and period, so its stage admissions meet those nodes' slice ends
+/// at their µs; the other half carry Poisson load of 1–4 ms mean demand.
+/// Samples are 1 s or 3 s apart, so a node replays many slice ends between
+/// two observations.
+fn heavy_cluster(variant: u64, fast: bool) -> Cluster {
+    use crate::load::PoissonLoad;
+    use crate::rng::SimRng;
+    let v = variant;
+    let mut r = SimRng::from_seed_stream(v, 98);
+    let n = 2 + r.below(4) as u32;
+    let mut config = ClusterConfig {
+        n_nodes: n as usize,
+        ..ClusterConfig::paper_baseline(v, SimDuration::from_millis(600 + r.below(900)))
+    };
+    config.sample_interval = SimDuration::from_secs(1 + 2 * r.below(2));
+    if r.below(3) == 0 {
+        config.scheduler = SchedulerKind::StaticPriority { quantum_us: Some(1_000) };
+    }
+    config.clock = ClockConfig::perfect();
+    config.bus = BusConfig {
+        bandwidth_bps: 8_000_000.0,
+        mtu_bytes: 1_000_000,
+        frame_overhead_bytes: 0,
+        per_message_overhead_bytes: 0,
+        propagation: SimDuration::ZERO,
+        local_delivery: SimDuration::from_millis(1),
+        ..BusConfig::paper_baseline()
+    };
+    let mut c = if fast { Cluster::new(config) } else { Cluster::reference(config) };
+    let stages = (0..1 + r.below(2))
+        .map(|j| StageSpec {
+            name: format!("s{j}"),
+            cost: PolynomialCost::linear(r.below(3) as f64, 1.0),
+            replicable: true,
+            home: NodeId(r.below(u64::from(n)) as u32),
+            output_bytes_per_track: 10.0,
+        })
+        .collect();
+    c.add_task(
+        TaskSpec {
+            id: TaskId(0),
+            name: "heavy".into(),
+            period: SimDuration::from_millis(30 + r.below(40)),
+            deadline: SimDuration::from_millis(200),
+            track_bytes: 80,
+            stages,
+        },
+        Box::new(|_| 100),
+    );
+    let mut gen = 0;
+    let mut next_gen = || {
+        gen += 1;
+        LoadGenId(gen - 1)
+    };
+    for node in (0..n).map(NodeId) {
+        let target = 0.8 + 0.15 * r.uniform();
+        if r.below(2) == 0 {
+            let (short, long) = (4 + r.below(3), 40 + r.below(20));
+            let u = 2.0 / short as f64;
+            let demand = ((target - u) * long as f64).round().max(1.0);
+            for (every, u) in [(short, u), (long, demand / long as f64)] {
+                let every = SimDuration::from_millis(every);
+                c.add_load(Box::new(PeriodicLoad::new(next_gen(), node, every, u).with_fixed_phase()));
+            }
+        } else {
+            let demand = SimDuration::from_micros(1_000 + r.below(3_000));
+            c.add_load(Box::new(PoissonLoad::with_utilization(next_gen(), node, target, demand)));
+        }
+    }
+    if r.below(3) == 0 {
+        let (node, at) = (NodeId(r.below(u64::from(n)) as u32), 100 + r.below(400));
+        c.crash_node_at(node, SimTime::from_millis(at), Some(SimDuration::from_millis(50 + r.below(100))));
+    }
+    c.enable_trace(1_000_000);
+    c.enable_perf(None);
+    c
 }
