@@ -56,10 +56,10 @@ impl FaultEngine {
             if let Some(h) = running.dispatch_handle {
                 k.queue.cancel(h);
             }
-            lost.push(running.job);
+            lost.push(running.entry.job);
         }
-        while let Some(j) = dispatch.nodes[node.index()].sched.pick() {
-            lost.push(j);
+        while let Some(e) = dispatch.nodes[node.index()].sched.pick() {
+            lost.push(e.job);
         }
         dispatch.nodes[node.index()].end_busy(now);
         tasks.fail_lost_jobs(k, dispatch, now, lost);

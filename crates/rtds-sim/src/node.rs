@@ -6,15 +6,16 @@
 //! and the controller-visible utilization estimate `ut(p, t)` are derived.
 
 use crate::event::EventHandle;
-use crate::ids::{JobId, NodeId};
-use crate::sched::ReadyQueue;
+use crate::ids::NodeId;
+use crate::sched::{Entry, ReadyQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// The job currently holding the CPU and the slice it was granted.
 #[derive(Debug, Clone, Copy)]
 pub struct Running {
-    /// The dispatched job.
-    pub job: JobId,
+    /// The dispatched job's ready-queue entry as it was picked: its
+    /// remaining demand at slice start, and its priority.
+    pub entry: Entry,
     /// When the slice began.
     pub slice_start: SimTime,
     /// Scheduled end of the slice (quantum boundary or job completion).
