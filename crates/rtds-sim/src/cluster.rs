@@ -174,7 +174,9 @@ pub trait ClusterApi {
 pub struct Cluster {
     /// Pure mechanics: queue, clocks, RNG, lanes, metrics, observability.
     kernel: SimKernel,
-    /// Nodes, job slab, quantum-chain metadata.
+    /// Nodes (their ready queues carry each job's remaining demand), the
+    /// job slab read at completions and node deaths, quantum-chain
+    /// metadata.
     dispatch: DispatchEngine,
     /// Shared bus, in-flight/retransmit/dedup state.
     net: NetEngine,

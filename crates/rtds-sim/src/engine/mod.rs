@@ -6,17 +6,19 @@
 //! and any *other* engines they need as explicit `&mut` parameters —
 //! disjoint struct fields of `Cluster`, so the borrows always split:
 //!
-//! | component                  | owns                                         |
-//! |----------------------------|----------------------------------------------|
-//! | [`DispatchEngine`]         | nodes, job slab, quantum-chain metadata      |
-//! | [`NetEngine`]              | shared bus, in-flight/retx/dedup state       |
-//! | [`FaultEngine`]            | node death, crash teardown, restart re-arm   |
-//! | [`LoadEngine`]             | background generators and their dormancy     |
-//! | [`TaskTable`]              | task runtimes, instances, period bookkeeping |
+//! | component          | owns                                                           |
+//! |--------------------|----------------------------------------------------------------|
+//! | [`DispatchEngine`] | nodes and ready entries (job demand), job slab, chain metadata |
+//! | [`NetEngine`]      | shared bus, in-flight/retx/dedup state                         |
+//! | [`FaultEngine`]    | node death, crash teardown, restart re-arm                     |
+//! | [`LoadEngine`]     | background generators and their dormancy                       |
+//! | [`TaskTable`]      | task runtimes, instances, period bookkeeping                   |
 //!
 //! `Cluster` (the composition root) owns one of each plus the kernel and
 //! the controller, and routes every popped event to the right handler.
-//! See `docs/ARCHITECTURE.md` for the full map.
+//! A job's remaining demand rides in its node's ready-queue entry; the
+//! job slab is written at admission and read only when the job completes
+//! or its node dies. See `docs/ARCHITECTURE.md` for the full map.
 
 pub(crate) mod dispatch;
 pub(crate) mod fault;
