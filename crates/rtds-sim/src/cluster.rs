@@ -178,7 +178,8 @@ pub struct Cluster {
     /// job slab read at completions and node deaths, quantum-chain
     /// metadata.
     dispatch: DispatchEngine,
-    /// Shared bus, in-flight/retransmit/dedup state.
+    /// Shared bus (its slab holds every message copy), retransmit
+    /// records, dedup gates.
     net: NetEngine,
     /// Node death, crash teardown, restart re-arm.
     fault: FaultEngine,
@@ -415,7 +416,7 @@ impl Cluster {
             Ev::NodeFail { node } => fault.on_node_fail(kernel, dispatch, tasks, now, node),
             Ev::NodeCrash { node } => fault.on_node_crash(kernel, dispatch, net, tasks, now, node),
             Ev::NodeRestart { node } => fault.on_node_restart(kernel, dispatch, load, now, node),
-            Ev::RetxTimeout { orig } => net.on_retx_timeout(kernel, dispatch, tasks, now, orig),
+            Ev::RetxTimeout { retx } => net.on_retx_timeout(kernel, dispatch, tasks, now, retx),
             Ev::PeriodRelease { .. } | Ev::ClockSync | Ev::Sample => unreachable!("handled above"),
         }
     }
@@ -447,7 +448,6 @@ impl Cluster {
         };
         let rec_i = self.kernel.metrics.periods.len();
         self.kernel.metrics.periods.push(rec);
-        self.tasks.record_idx.insert((task, index), rec_i);
 
         if in_flight >= self.kernel.config.max_in_flight {
             self.kernel
@@ -468,7 +468,7 @@ impl Cluster {
             // 4. Release: instantiate and start the first stage.
             self.kernel
                 .record_trace(now, TraceEvent::Release { instance: index, tracks });
-            self.tasks.tasks[task.index()].release(index, now, tracks);
+            self.tasks.tasks[task.index()].release(index, now, tracks, rec_i);
             self.tasks.start_stage(
                 &mut self.kernel,
                 &mut self.dispatch,
@@ -648,11 +648,9 @@ impl Cluster {
         // Decide instances that were still running: if their deadline has
         // already passed at the horizon, they have certainly missed.
         for rt in &self.tasks.tasks {
-            for inst in rt.instances.values() {
+            for inst in &rt.instances {
                 if horizon > inst.released + rt.spec.deadline {
-                    if let Some(&i) = self.tasks.record_idx.get(&(rt.spec.id, inst.instance)) {
-                        self.kernel.metrics.periods[i].missed = Some(true);
-                    }
+                    self.kernel.metrics.periods[inst.record].missed = Some(true);
                 }
             }
         }

@@ -9,7 +9,6 @@
 use crate::control::{PeriodObservation, StageObservation};
 use crate::engine::dispatch::DispatchEngine;
 use crate::engine::net::NetEngine;
-use crate::hashing::FxHashMap;
 use crate::ids::{JobId, MsgId, StageId, SubtaskIdx, TaskId};
 use crate::job::JobKind;
 use crate::kernel::SimKernel;
@@ -34,8 +33,6 @@ pub(crate) struct TaskTable {
     /// Emptied `PeriodObservation::stages` lists of observations the
     /// controller has consumed, reused for the next completed instances.
     pub spare_stage_obs: Vec<Vec<StageObservation>>,
-    /// Map (task, instance) → index into `metrics.periods`.
-    pub record_idx: FxHashMap<(TaskId, u64), usize>,
 }
 
 impl TaskTable {
@@ -53,8 +50,7 @@ impl TaskTable {
         origin: MsgId,
     ) -> bool {
         self.tasks[stage.task.index()]
-            .instances
-            .get(&instance)
+            .instance(instance)
             .is_some_and(|inst| {
                 inst.stages[stage.subtask.index()].replicas[replica as usize]
                     .seen_origins
@@ -67,12 +63,10 @@ impl TaskTable {
     /// observation, like a shed period).
     pub fn fail_instance(&mut self, k: &mut SimKernel, _now: SimTime, task: TaskId, instance: u64) {
         let rt = &mut self.tasks[task.index()];
-        let Some(inst) = rt.instances.remove(&instance) else {
+        let Some(inst) = rt.take_instance(instance) else {
             return;
         };
-        if let Some(&i) = self.record_idx.get(&(task, instance)) {
-            k.metrics.periods[i].missed = Some(true);
-        }
+        k.metrics.periods[inst.record].missed = Some(true);
         self.pending_obs.push(PeriodObservation {
             task,
             instance,
@@ -103,11 +97,11 @@ impl TaskTable {
         let mut nodes = std::mem::take(&mut k.scratch.nodes);
         let mut shares = std::mem::take(&mut k.scratch.shares);
         let rt = &mut self.tasks[task.index()];
-        let inst = rt.instances.get_mut(&index).expect("instance exists");
+        let cost = rt.spec.stages[stage.index()].cost;
+        let inst = rt.instance_mut(index).expect("instance exists");
         nodes.clear();
         nodes.extend_from_slice(&inst.placement[stage.index()]);
         split_tracks_into(inst.tracks, nodes.len(), &mut shares);
-        let cost = rt.spec.stages[stage.index()].cost;
         {
             let prog = &mut inst.stages[stage.index()];
             prog.started = Some(now);
@@ -156,7 +150,7 @@ impl TaskTable {
         let deadline = self.tasks[task.index()].spec.deadline;
         let finished = {
             let rt = &mut self.tasks[task.index()];
-            let Some(inst) = rt.instances.get_mut(&instance) else {
+            let Some(inst) = rt.instance_mut(instance) else {
                 return; // instance was failed (node death) while this job ran
             };
             let prog = &mut inst.stages[stage.subtask.index()];
@@ -189,7 +183,7 @@ impl TaskTable {
             // Last stage: the instance is complete.
             let inst = {
                 let rt = &mut self.tasks[task.index()];
-                let mut inst = rt.instances.remove(&instance).expect("instance exists");
+                let mut inst = rt.take_instance(instance).expect("instance exists");
                 inst.completed = Some(now);
                 inst
             };
@@ -203,11 +197,9 @@ impl TaskTable {
                     missed,
                 },
             );
-            if let Some(&i) = self.record_idx.get(&(task, instance)) {
-                let rec = &mut k.metrics.periods[i];
-                rec.end_to_end = Some(e2e);
-                rec.missed = Some(missed);
-            }
+            let rec = &mut k.metrics.periods[inst.record];
+            rec.end_to_end = Some(e2e);
+            rec.missed = Some(missed);
             let mut stages = self.spare_stage_obs.pop().unwrap_or_default();
             stages.reserve(inst.stages.len());
             for (j, p) in inst.stages.iter().enumerate() {

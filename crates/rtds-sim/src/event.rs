@@ -334,6 +334,19 @@ impl<E> EventQueue<E> {
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
+
+    /// The pending events, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &E> + '_ {
+        self.slots.iter().filter_map(|s| s.event.as_ref())
+    }
+
+    /// The event behind `handle`, while it is pending.
+    #[cfg(test)]
+    pub(crate) fn get(&self, handle: EventHandle) -> Option<&E> {
+        let slot = &self.slots[handle.slot as usize];
+        slot.event.as_ref().filter(|_| slot.gen == handle.gen)
+    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,11 @@
 use crate::clock::ClockModel;
 use crate::cluster::ClusterConfig;
 use crate::event::EventQueue;
-use crate::ids::{MsgId, NodeId, TaskId};
+use crate::ids::{NodeId, TaskId};
 use crate::kheap::pack;
 use crate::lane::{LaneKey, Lanes};
 use crate::metrics::RunMetrics;
+use crate::net::Slot;
 use crate::perf::PerfState;
 use crate::rng::SimRng;
 use crate::sink::BoundedSink;
@@ -63,8 +64,8 @@ pub(crate) enum Ev {
     TxComplete,
     /// A message reaches its destination.
     Deliver {
-        /// The in-flight message id.
-        msg: MsgId,
+        /// The message's slot in the bus.
+        msg: Slot,
     },
     /// Clock-synchronization round.
     ClockSync,
@@ -86,10 +87,10 @@ pub(crate) enum Ev {
         /// The restarting node.
         node: NodeId,
     },
-    /// Sender-side retransmit timer for the original message `orig` fired.
+    /// A sender-side retransmit timer fired.
     RetxTimeout {
-        /// The original message id the timer guards.
-        orig: MsgId,
+        /// The retransmit record the timer guards.
+        retx: Slot,
     },
 }
 

@@ -61,7 +61,6 @@ pub mod cluster;
 pub mod control;
 mod engine;
 pub mod event;
-pub mod hashing;
 pub mod ids;
 pub mod job;
 mod kernel;
@@ -76,6 +75,7 @@ pub mod pipeline;
 pub mod rng;
 pub mod sched;
 pub mod sink;
+mod slab;
 pub mod time;
 pub mod trace;
 

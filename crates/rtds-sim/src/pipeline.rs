@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use crate::hashing::FxHashMap;
 use crate::ids::{MsgId, NodeId, StageId, SubtaskIdx, TaskId};
 use crate::time::{SimDuration, SimTime};
 
@@ -273,6 +272,9 @@ pub struct InstanceState {
     /// True if admission control shed this instance (released under
     /// overload and never executed; counts as a miss).
     pub shed: bool,
+    /// Index of the instance's record in `RunMetrics::periods`, set at
+    /// release.
+    pub record: usize,
 }
 
 impl InstanceState {
@@ -291,6 +293,7 @@ impl InstanceState {
             stages: Vec::new(),
             completed: None,
             shed: false,
+            record: 0,
         };
         inst.reset(instance, released, tracks, placement);
         inst
@@ -348,8 +351,9 @@ pub struct TaskRuntime {
     /// Held behind an `Arc` so each release shares it with the new
     /// instance instead of deep-cloning; mutation copies on write.
     pub placement: Arc<Vec<Vec<NodeId>>>,
-    /// In-flight instances by instance number.
-    pub instances: FxHashMap<u64, InstanceState>,
+    /// In-flight instances, at most `ClusterConfig::max_in_flight` of
+    /// them, found by a linear search on the instance number.
+    pub instances: Vec<InstanceState>,
     /// Most recent workload (`ds` of the latest released instance).
     pub last_tracks: u64,
     /// Completed and failed instances, kept for [`TaskRuntime::release`]
@@ -364,24 +368,42 @@ impl TaskRuntime {
         TaskRuntime {
             spec,
             placement,
-            instances: FxHashMap::default(),
+            instances: Vec::new(),
             last_tracks: 0,
             retired: Vec::new(),
         }
     }
 
-    /// Releases instance `instance` on the current placement, recycling a
-    /// retired instance when there is one.
-    pub(crate) fn release(&mut self, instance: u64, released: SimTime, tracks: u64) {
+    /// Releases instance `instance` on the current placement, with its
+    /// period record at `record`, recycling a retired instance when there
+    /// is one.
+    pub(crate) fn release(&mut self, instance: u64, released: SimTime, tracks: u64, record: usize) {
         let placement = Arc::clone(&self.placement);
-        let inst = match self.retired.pop() {
+        let mut inst = match self.retired.pop() {
             Some(mut inst) => {
                 inst.reset(instance, released, tracks, placement);
                 inst
             }
             None => InstanceState::new(instance, released, tracks, placement),
         };
-        self.instances.insert(instance, inst);
+        inst.record = record;
+        self.instances.push(inst);
+    }
+
+    /// The in-flight instance numbered `instance`.
+    pub fn instance(&self, instance: u64) -> Option<&InstanceState> {
+        self.instances.iter().find(|i| i.instance == instance)
+    }
+
+    /// Mutable access to the in-flight instance numbered `instance`.
+    pub fn instance_mut(&mut self, instance: u64) -> Option<&mut InstanceState> {
+        self.instances.iter_mut().find(|i| i.instance == instance)
+    }
+
+    /// Removes the in-flight instance numbered `instance`.
+    pub(crate) fn take_instance(&mut self, instance: u64) -> Option<InstanceState> {
+        let i = self.instances.iter().position(|i| i.instance == instance)?;
+        Some(self.instances.swap_remove(i))
     }
 
     /// Hands a completed or failed instance back for reuse by
@@ -658,17 +680,19 @@ mod tests {
     #[test]
     fn release_recycles_retired_instances() {
         let mut rt = TaskRuntime::new(spec());
-        rt.release(0, SimTime::ZERO, 100);
-        let mut done = rt.instances.remove(&0).unwrap();
+        rt.release(0, SimTime::ZERO, 100, 0);
+        let mut done = rt.take_instance(0).unwrap();
+        assert!(rt.instances.is_empty());
         done.stages[1].replicas[0].seen_origins.push(MsgId(3));
         let stages = done.stages.as_ptr();
         rt.retire(done);
         rt.set_placement(SubtaskIdx(1), vec![NodeId(1), NodeId(3)], 6)
             .unwrap();
-        rt.release(1, SimTime::from_secs(1), 200);
-        let inst = &rt.instances[&1];
+        rt.release(1, SimTime::from_secs(1), 200, 5);
+        let inst = rt.instance(1).unwrap();
         assert_eq!(inst.stages.as_ptr(), stages, "the retired stage list is reused");
-        let fresh = InstanceState::new(1, SimTime::from_secs(1), 200, Arc::clone(&rt.placement));
+        let mut fresh = InstanceState::new(1, SimTime::from_secs(1), 200, Arc::clone(&rt.placement));
+        fresh.record = 5;
         assert_eq!(format!("{inst:?}"), format!("{fresh:?}"));
         assert!(rt.retired.is_empty());
     }
