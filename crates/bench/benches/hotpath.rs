@@ -1,7 +1,7 @@
 //! Hot-path benches guarding the simulator-core performance pass:
-//! end-to-end evaluation runs (dispatch chains + scratch buffers), event
-//! queue churn under cancellation (tombstone compaction), and the
-//! incremental RLS refit.
+//! end-to-end evaluation runs (dispatch chains + scratch buffers; a lossy
+//! bus with retransmission and a crash–restart), event queue churn under
+//! cancellation (tombstone compaction), and the incremental RLS refit.
 //!
 //! The first row, `hotpath/reference_kernel`, times a fixed kernel that
 //! uses none of the workspace's code, so it measures only how fast the
@@ -22,7 +22,9 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtds_bench::{bench_bg_heavy_scenario, bench_scenario, run_large_cluster};
+use rtds_bench::{
+    bench_bg_heavy_scenario, bench_degraded_scenario, bench_scenario, run_large_cluster,
+};
 use rtds_experiments::models::quick_predictor;
 use rtds_experiments::scenario::{run_scenario, PatternSpec, PolicySpec};
 use rtds_regression::RecursiveLeastSquares;
@@ -56,6 +58,16 @@ fn bench(c: &mut Criterion) {
     let cfg = bench_bg_heavy_scenario();
     g.bench_with_input(
         BenchmarkId::new("scenario_run", "bg_heavy"),
+        &cfg,
+        |b, cfg| b.iter(|| run_scenario(std::hint::black_box(cfg), &predictor)),
+    );
+
+    // Degraded network: drops, duplicates, a jammed bus, retransmit
+    // timers and a crash–restart's bus teardown, the paths no other row
+    // takes.
+    let cfg = bench_degraded_scenario();
+    g.bench_with_input(
+        BenchmarkId::new("scenario_run", "degraded"),
         &cfg,
         |b, cfg| b.iter(|| run_scenario(std::hint::black_box(cfg), &predictor)),
     );

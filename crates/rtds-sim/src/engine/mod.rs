@@ -9,7 +9,7 @@
 //! | component          | owns                                                           |
 //! |--------------------|----------------------------------------------------------------|
 //! | [`DispatchEngine`] | nodes and ready entries (job demand), job slab, chain metadata |
-//! | [`NetEngine`]      | shared bus, in-flight/retx/dedup state                         |
+//! | [`NetEngine`]      | shared bus and its message slab, retx slab, dedup gates        |
 //! | [`FaultEngine`]    | node death, crash teardown, restart re-arm                     |
 //! | [`LoadEngine`]     | background generators and their dormancy                       |
 //! | [`TaskTable`]      | task runtimes, instances, period bookkeeping                   |
