@@ -208,6 +208,47 @@ mod tests {
         assert_eq!(r.draws(), 7, "a normal draw takes two uniforms");
     }
 
+    /// 100,000 draws cycling through every kind of draw, with means,
+    /// bounds and probabilities that vary from call to call, hashed as
+    /// little-endian bits (64-bit FNV-1a) for two `(seed, stream)` pairs.
+    /// Pins the stream itself: a change to the generator, its refill or a
+    /// draw's arithmetic fails here before it shows in a run's outputs.
+    #[test]
+    fn mixed_draw_stream_matches_its_digest() {
+        fn digest(seed: u64, stream: u64) -> u64 {
+            let mut r = SimRng::from_seed_stream(seed, stream);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |x: u64| {
+                for b in x.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for i in 0..100_000u64 {
+                let k = (i % 97) as f64;
+                match i % 6 {
+                    0 => eat(r.uniform().to_bits()),
+                    1 => eat(r.exponential(0.5 + k).to_bits()),
+                    // Bounds of every width up to 2^64, so rejection runs.
+                    2 => {
+                        let n = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64);
+                        eat(r.below(n.max(1)));
+                    }
+                    3 => eat(u64::from(r.chance(k / 96.0))),
+                    4 => eat(r.normal(k, 1.0 + k / 8.0).to_bits()),
+                    _ => eat(r.next_u64()),
+                }
+            }
+            assert_eq!(r.draws(), 100_000 + 100_000 / 6, "a normal draw takes two");
+            h
+        }
+        assert_eq!(digest(42, 7), 0xd44a_23eb_3e70_c7cf, "stream (42, 7) changed");
+        assert_eq!(
+            digest(0x5EED, 1 << 40),
+            0x2d2d_eeef_f021_59a1,
+            "stream (0x5EED, 2^40) changed"
+        );
+    }
+
     #[test]
     fn chance_extremes() {
         let mut r = SimRng::from_seed_stream(1, 1);
