@@ -1,7 +1,8 @@
 //! Hot-path benches guarding the simulator-core performance pass:
 //! end-to-end evaluation runs (dispatch chains + scratch buffers; a lossy
-//! bus with retransmission and a crash–restart), event queue churn under
-//! cancellation (tombstone compaction), and the incremental RLS refit.
+//! bus with retransmission and a crash–restart), the ambient-load draw,
+//! event queue churn under cancellation (tombstone compaction), and the
+//! incremental RLS refit.
 //!
 //! The first row, `hotpath/reference_kernel`, times a fixed kernel that
 //! uses none of the workspace's code, so it measures only how fast the
@@ -29,7 +30,10 @@ use rtds_experiments::models::quick_predictor;
 use rtds_experiments::scenario::{run_scenario, PatternSpec, PolicySpec};
 use rtds_regression::RecursiveLeastSquares;
 use rtds_sim::event::EventQueue;
-use rtds_sim::time::SimTime;
+use rtds_sim::ids::{LoadGenId, NodeId};
+use rtds_sim::load::{LoadGenerator, PoissonLoad};
+use rtds_sim::rng::SimRng;
+use rtds_sim::time::{SimDuration, SimTime};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
@@ -82,6 +86,31 @@ fn bench(c: &mut Criterion) {
             |b, &n| b.iter(|| run_large_cluster(std::hint::black_box(n))),
         );
     }
+
+    // The ambient-load draw alone: 64k Poisson arrivals (two exponential
+    // draws each) at the large-cluster rows' utilization and job size.
+    // perfbench's `fig9` and `ambient-64` spend about a fifth of their
+    // time here, so a slower draw moves their run time by less than its
+    // spread; this row shows it alone.
+    g.bench_function("rng/poisson_arrive_64k", |b| {
+        let mut load = PoissonLoad::with_utilization(
+            LoadGenId(0),
+            NodeId(0),
+            0.60,
+            SimDuration::from_millis(2),
+        );
+        b.iter(|| {
+            let mut rng = SimRng::from_seed_stream(0x5EED, 0);
+            let mut t = SimTime::ZERO;
+            let mut busy = SimDuration::ZERO;
+            for _ in 0..65_536 {
+                let a = load.arrive(t, &mut rng);
+                busy += a.demand;
+                t = a.next_at;
+            }
+            (t, busy)
+        })
+    });
 
     // Cancellation-heavy queue churn: schedule 1k, cancel every other
     // event, pop the rest. Exercises the tombstone lazy-deletion path and

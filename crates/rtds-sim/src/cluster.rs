@@ -683,8 +683,7 @@ impl ClusterApi for Cluster {
         if let Err(e) = gen.validate() {
             panic!("invalid load generator config: {e}");
         }
-        self.load.gens.push(gen);
-        self.load.dormant.push(false);
+        self.load.add(gen);
     }
 
     fn set_controller(&mut self, controller: Box<dyn Controller>) {

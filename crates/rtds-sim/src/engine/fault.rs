@@ -168,13 +168,12 @@ mod tests {
         let k = SimKernel::new(cfg);
         dispatch.start_run();
         let mut load = LoadEngine::default();
-        load.gens.push(Box::new(PeriodicLoad::new(
+        load.add(Box::new(PeriodicLoad::new(
             LoadGenId(0),
             NodeId(0),
             SimDuration::from_millis(10),
             0.3,
         )));
-        load.dormant.push(false);
         (k, dispatch, net, load, TaskTable::default(), FaultEngine)
     }
 

@@ -25,12 +25,22 @@ use crate::time::SimTime;
 pub(crate) struct LoadEngine {
     /// The background load generators.
     pub gens: Vec<Box<dyn LoadGenerator>>,
+    /// Per generator: the node it loads, read once in [`LoadEngine::add`]
+    /// so a poll makes one virtual call, not two.
+    nodes: Vec<NodeId>,
     /// Per generator: its poll fired while its node was down, so no
     /// further polls are armed until the node restarts.
     pub dormant: Vec<bool>,
 }
 
 impl LoadEngine {
+    /// Attaches a generator; its index is its `LoadGenId`.
+    pub fn add(&mut self, gen: Box<dyn LoadGenerator>) {
+        self.nodes.push(gen.node());
+        self.gens.push(gen);
+        self.dormant.push(false);
+    }
+
     /// A generator's poll fired (from its lane or the heap): draw the
     /// generator, admit the arrival, and arm the next poll if one is due
     /// within the horizon. A poll that finds its node down marks the
@@ -45,7 +55,7 @@ impl LoadEngine {
         now: SimTime,
         gen: usize,
     ) {
-        let node = self.gens[gen].node();
+        let node = self.nodes[gen];
         if !dispatch.nodes[node.index()].alive {
             self.dormant[gen] = true;
             return;
@@ -81,7 +91,7 @@ impl LoadEngine {
         node: NodeId,
     ) {
         for g in 0..self.gens.len() {
-            if self.gens[g].node() != node || !self.dormant[g] {
+            if self.nodes[g] != node || !self.dormant[g] {
                 continue;
             }
             self.dormant[g] = false;

@@ -150,8 +150,11 @@ impl LoadGenerator for PeriodicLoad {
 pub struct PoissonLoad {
     id: LoadGenId,
     node: NodeId,
-    mean_interarrival: SimDuration,
-    mean_demand: SimDuration,
+    /// Mean inter-arrival gap in seconds, the unit a draw takes, so a
+    /// draw converts nothing.
+    mean_interarrival_s: f64,
+    /// Mean job demand in seconds.
+    mean_demand_s: f64,
 }
 
 impl PoissonLoad {
@@ -164,14 +167,15 @@ impl PoissonLoad {
         mean_demand: SimDuration,
     ) -> Self {
         assert!(!mean_interarrival.is_zero(), "mean inter-arrival must be positive");
-        let rho = mean_demand.as_secs_f64() / mean_interarrival.as_secs_f64();
-        assert!(rho < 1.0, "Poisson load would saturate the CPU (rho = {rho:.3})");
-        PoissonLoad {
+        let g = PoissonLoad {
             id,
             node,
-            mean_interarrival,
-            mean_demand,
-        }
+            mean_interarrival_s: mean_interarrival.as_secs_f64(),
+            mean_demand_s: mean_demand.as_secs_f64(),
+        };
+        let rho = g.target_utilization();
+        assert!(rho < 1.0, "Poisson load would saturate the CPU (rho = {rho:.3})");
+        g
     }
 
     /// Convenience: a Poisson generator targeting `utilization` with the
@@ -199,15 +203,12 @@ impl LoadGenerator for PoissonLoad {
     }
 
     fn first_at(&self, rng: &mut SimRng) -> SimTime {
-        SimTime::ZERO
-            + SimDuration::from_secs_f64(rng.exponential(self.mean_interarrival.as_secs_f64()))
+        SimTime::ZERO + SimDuration::from_secs_f64(rng.exponential(self.mean_interarrival_s))
     }
 
     fn arrive(&mut self, now: SimTime, rng: &mut SimRng) -> LoadArrival {
-        let demand =
-            SimDuration::from_secs_f64(rng.exponential(self.mean_demand.as_secs_f64()).max(1e-6));
-        let gap =
-            SimDuration::from_secs_f64(rng.exponential(self.mean_interarrival.as_secs_f64()).max(1e-6));
+        let demand = SimDuration::from_secs_f64(rng.exponential(self.mean_demand_s).max(1e-6));
+        let gap = SimDuration::from_secs_f64(rng.exponential(self.mean_interarrival_s).max(1e-6));
         LoadArrival {
             demand,
             next_at: now + gap,
@@ -215,14 +216,14 @@ impl LoadGenerator for PoissonLoad {
     }
 
     fn target_utilization(&self) -> f64 {
-        self.mean_demand.as_secs_f64() / self.mean_interarrival.as_secs_f64()
+        self.mean_demand_s / self.mean_interarrival_s
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.mean_interarrival.is_zero() {
+        if self.mean_interarrival_s <= 0.0 {
             return Err("Poisson mean inter-arrival must be positive".into());
         }
-        if self.mean_demand.is_zero() {
+        if self.mean_demand_s <= 0.0 {
             return Err("Poisson mean demand must be positive".into());
         }
         let rho = self.target_utilization();
@@ -338,12 +339,12 @@ mod tests {
             SimDuration::from_millis(5),
             SimDuration::from_millis(2),
         );
-        q.mean_interarrival = SimDuration::ZERO;
+        q.mean_interarrival_s = 0.0;
         assert!(q.validate().unwrap_err().contains("inter-arrival"));
-        q.mean_interarrival = SimDuration::from_millis(5);
-        q.mean_demand = SimDuration::from_millis(5);
+        q.mean_interarrival_s = 0.005;
+        q.mean_demand_s = 0.005;
         assert!(q.validate().unwrap_err().contains("saturate"));
-        q.mean_demand = SimDuration::ZERO;
+        q.mean_demand_s = 0.0;
         assert!(q.validate().unwrap_err().contains("demand"));
     }
 

@@ -241,7 +241,11 @@ mod tests {
             assert_eq!(r.draws(), 100_000 + 100_000 / 6, "a normal draw takes two");
             h
         }
-        assert_eq!(digest(42, 7), 0xd44a_23eb_3e70_c7cf, "stream (42, 7) changed");
+        assert_eq!(
+            digest(42, 7),
+            0xd44a_23eb_3e70_c7cf,
+            "stream (42, 7) changed"
+        );
         assert_eq!(
             digest(0x5EED, 1 << 40),
             0x2d2d_eeef_f021_59a1,

@@ -205,11 +205,13 @@ impl SimDuration {
     }
 }
 
-/// Rounds `x >= 0` to the nearest integer, ties away from zero, and
-/// saturates at `u64::MAX`: the same result as
+/// Rounds `x` to the nearest integer, ties away from zero, and saturates
+/// at 0 and `u64::MAX`: the same result as
 /// `x.round().min(u64::MAX as f64) as u64`, with no libm call. From 2^53
 /// up every `f64` is an integer, so the (saturating) cast is exact; below
-/// it `x - trunc(x)` is exact, so comparing it with 0.5 rounds.
+/// it `x - trunc(x)` is exact, so comparing it with 0.5 rounds. Below
+/// 2^53 the conversions go through `i64`, exact there, because on x86_64
+/// signed conversions are single instructions and unsigned ones are not.
 ///
 /// NaN maps to 0, where the old expression gave `u64::MAX`; no caller can
 /// pass one: [`SimDuration::from_millis_f64`] rejects non-finite input and
@@ -219,8 +221,8 @@ fn round_to_u64(x: f64) -> u64 {
     if x >= 9_007_199_254_740_992.0 {
         x as u64
     } else {
-        let t = x as u64;
-        t + (x - t as f64 >= 0.5) as u64
+        let t = x as i64;
+        (t + (x - t as f64 >= 0.5) as i64).max(0) as u64
     }
 }
 
@@ -436,6 +438,13 @@ mod tests {
             two(53),
             two(64),
             u64::MAX as f64,
+            -0.5,
+            -1.0,
+            -2.5,
+            -two(53),
+            -two(64),
+            f64::MIN,
+            f64::NEG_INFINITY,
         ];
         for k in [0.0, 1.0, 2.0, 1e3, 1e6, 4_503_599_627_370_495.0, two(52), two(53)] {
             for x in [k, k + 0.5] {
