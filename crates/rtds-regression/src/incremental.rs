@@ -1,7 +1,7 @@
 //! Incremental (recursive) least squares.
 //!
 //! Classical fits ([`crate::linear`], [`crate::polyfit`], [`crate::model`])
-//! rebuild and solve the normal equations from the full sample window on
+//! re-solve the least-squares problem over the full sample window on
 //! every refit — O(window · K²) per refit. An online predictor that
 //! re-estimates its model every period cannot afford that; this module
 //! maintains the estimate *incrementally*: each observation performs one
@@ -150,11 +150,11 @@ mod tests {
         for (x, y) in xs.iter().zip(&ys) {
             rls.update(x, *y);
         }
-        let rows: Vec<Vec<f64>> = xs.iter().map(|x| x.to_vec()).collect();
-        let batch = crate::linear::MultipleLinear::fit(&rows, &ys).expect("batch fit");
+        let a = crate::matrix::Matrix::from_rows(xs.len(), 2, xs.concat());
+        let batch = a.lstsq(&ys).expect("batch fit");
         let t = rls.theta();
-        assert!((t[0] - batch.coefficients[0]).abs() < 1e-5, "{t:?} vs {batch:?}");
-        assert!((t[1] - batch.coefficients[1]).abs() < 1e-5, "{t:?} vs {batch:?}");
+        assert!((t[0] - batch[0]).abs() < 1e-5, "{t:?} vs {batch:?}");
+        assert!((t[1] - batch[1]).abs() < 1e-5, "{t:?} vs {batch:?}");
     }
 
     #[test]

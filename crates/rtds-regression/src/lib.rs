@@ -3,15 +3,12 @@
 //! The regression machinery behind the predictive resource-management
 //! algorithm of Ravindran & Hegazy (IPPS 2001):
 //!
-//! * [`matrix`] — small dense matrices, Gaussian elimination, Householder
-//!   QR least squares;
-//! * [`linear`] — simple (incl. through-origin) and multiple linear
-//!   regression;
+//! * [`matrix`] — small dense matrices and Householder QR least squares;
+//! * [`linear`] — simple linear regression, including through the origin;
 //! * [`polyfit`] — polynomial least squares, including the through-origin
 //!   quadratic used per utilization level;
 //! * [`model`] — the paper's Eq. (3) bivariate execution-latency model,
-//!   with both the paper's two-stage fitting procedure and a direct
-//!   six-parameter fit;
+//!   fitted by the paper's two-stage procedure;
 //! * [`buffer`] — the Eq. (4)–(6) communication-delay model (linear buffer
 //!   delay plus deterministic transmission delay);
 //! * [`incremental`] — recursive least squares with exponential
@@ -32,13 +29,11 @@ pub mod matrix;
 pub mod model;
 pub mod polyfit;
 pub mod stats;
-pub mod validate;
 
 pub use buffer::{BufferDelayModel, BufferDelaySample, CommDelayModel};
 pub use incremental::RecursiveLeastSquares;
-pub use linear::{MultipleLinear, SimpleLinear};
+pub use linear::SimpleLinear;
 pub use matrix::{Matrix, SolveError};
 pub use model::{ExecLatencyModel, LatencySample};
 pub use polyfit::Polynomial;
 pub use stats::{fit_stats, mean, residuals, FitStats};
-pub use validate::{cross_validate, CrossValidation, FitMethod, PredictionBand};

@@ -1,6 +1,6 @@
-//! Simple and multiple linear regression.
+//! Simple linear regression.
 
-use crate::matrix::{Matrix, SolveError};
+use crate::matrix::SolveError;
 use crate::stats::{fit_stats, FitStats};
 
 /// Ordinary least-squares line `y = slope·x + intercept`.
@@ -75,55 +75,6 @@ impl SimpleLinear {
     }
 }
 
-/// Multiple linear regression `y = β·features(x)` over an arbitrary design
-/// matrix, solved by QR least squares.
-#[derive(Debug, Clone, PartialEq)]
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct MultipleLinear {
-    /// Fitted coefficients, one per design-matrix column.
-    pub coefficients: Vec<f64>,
-    /// Fit quality on the training data.
-    pub stats: FitStats,
-}
-
-impl MultipleLinear {
-    /// Fits coefficients for the given design rows (each row is the feature
-    /// vector of one observation).
-    ///
-    /// # Errors
-    /// Fails if the system is underdetermined or rank-deficient.
-    pub fn fit(design_rows: &[Vec<f64>], ys: &[f64]) -> Result<Self, SolveError> {
-        assert_eq!(design_rows.len(), ys.len(), "length mismatch");
-        if design_rows.is_empty() {
-            return Err(SolveError::Underdetermined { rows: 0, cols: 0 });
-        }
-        let cols = design_rows[0].len();
-        assert!(
-            design_rows.iter().all(|r| r.len() == cols),
-            "ragged design matrix"
-        );
-        let flat: Vec<f64> = design_rows.iter().flatten().copied().collect();
-        let a = Matrix::from_rows(design_rows.len(), cols, flat);
-        let coefficients = a.lstsq(ys)?;
-        let pred = a.matvec(&coefficients);
-        let stats = fit_stats(ys, &pred, cols);
-        Ok(MultipleLinear {
-            coefficients,
-            stats,
-        })
-    }
-
-    /// Predicted value for one feature vector.
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.coefficients.len(), "feature count mismatch");
-        features
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(f, c)| f * c)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,37 +130,5 @@ mod tests {
         assert!(SimpleLinear::fit(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_err());
         assert!(SimpleLinear::fit_through_origin(&[], &[]).is_err());
         assert!(SimpleLinear::fit_through_origin(&[0.0, 0.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn multiple_regression_recovers_plane() {
-        // y = 2a + 3b - 1 via design [a, b, 1].
-        let mut rows = Vec::new();
-        let mut ys = Vec::new();
-        for a in 0..5 {
-            for b in 0..5 {
-                let (a, b) = (a as f64, b as f64);
-                rows.push(vec![a, b, 1.0]);
-                ys.push(2.0 * a + 3.0 * b - 1.0);
-            }
-        }
-        let f = MultipleLinear::fit(&rows, &ys).unwrap();
-        assert!((f.coefficients[0] - 2.0).abs() < 1e-9);
-        assert!((f.coefficients[1] - 3.0).abs() < 1e-9);
-        assert!((f.coefficients[2] + 1.0).abs() < 1e-9);
-        assert!((f.predict(&[1.0, 1.0, 1.0]) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multiple_regression_rejects_collinear_columns() {
-        let rows = vec![vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]];
-        assert!(MultipleLinear::fit(&rows, &[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_design_matrix_panics() {
-        let rows = vec![vec![1.0, 2.0], vec![2.0]];
-        let _ = MultipleLinear::fit(&rows, &[1.0, 2.0]);
     }
 }

@@ -1,9 +1,9 @@
-//! Small dense matrices and linear solvers.
+//! Small dense matrices and a least-squares solver.
 //!
 //! The regression problems in this crate are tiny (≤ 10 unknowns, hundreds
-//! of rows), so a straightforward row-major dense matrix with Gaussian
-//! elimination and Householder QR is the right tool — no external linear
-//! algebra dependency needed.
+//! of rows), so a straightforward row-major dense matrix with Householder
+//! QR least squares is the right tool — no external linear algebra
+//! dependency needed.
 
 use core::fmt;
 
@@ -55,16 +55,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "empty matrix");
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Creates a matrix from row-major data.
     ///
     /// # Panics
@@ -74,120 +64,12 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix–vector product.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         (0..self.rows)
             .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
             .collect()
-    }
-
-    /// Solves the square system `A x = b` by Gaussian elimination with
-    /// partial pivoting. `self` is consumed conceptually (copied internally).
-    #[allow(clippy::needless_range_loop)] // indexed form mirrors the math
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
-        if self.rows != self.cols {
-            return Err(SolveError::DimensionMismatch {
-                what: "solve requires a square matrix",
-            });
-        }
-        if b.len() != self.rows {
-            return Err(SolveError::DimensionMismatch {
-                what: "rhs length must equal matrix order",
-            });
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        let at = |a: &[f64], i: usize, j: usize| a[i * n + j];
-
-        for col in 0..n {
-            // Partial pivot: largest absolute value in this column.
-            let (pivot_row, pivot_val) = (col..n)
-                .map(|r| (r, at(&a, r, col).abs()))
-                .max_by(|p, q| p.1.partial_cmp(&q.1).expect("no NaN in pivot search"))
-                .expect("non-empty range");
-            if pivot_val < 1e-12 {
-                return Err(SolveError::Singular { column: col });
-            }
-            if pivot_row != col {
-                for j in 0..n {
-                    a.swap(col * n + j, pivot_row * n + j);
-                }
-                x.swap(col, pivot_row);
-            }
-            let p = at(&a, col, col);
-            for r in (col + 1)..n {
-                let factor = at(&a, r, col) / p;
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[r * n + j] -= factor * at(&a, col, j);
-                }
-                x[r] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut s = x[col];
-            for j in (col + 1)..n {
-                s -= at(&a, col, j) * x[j];
-            }
-            x[col] = s / at(&a, col, col);
-        }
-        Ok(x)
     }
 
     /// Solves the least-squares problem `min ‖A x − b‖₂` via Householder QR
@@ -267,14 +149,6 @@ impl core::ops::Index<(usize, usize)> for Matrix {
     }
 }
 
-impl core::ops::IndexMut<(usize, usize)> for Matrix {
-    #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,65 +158,6 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < tol, "{a:?} vs {b:?}");
         }
-    }
-
-    #[test]
-    fn identity_solves_trivially() {
-        let i = Matrix::identity(3);
-        let x = i.solve(&[1.0, 2.0, 3.0]).unwrap();
-        assert_close(&x, &[1.0, 2.0, 3.0], 1e-12);
-    }
-
-    #[test]
-    fn solve_known_3x3_system() {
-        // x + 2y + z = 8; 2x + y + 3z = 13; x + y + z = 6 → (1, 2, 3).
-        let a = Matrix::from_rows(
-            3,
-            3,
-            vec![1.0, 2.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0],
-        );
-        let x = a.solve(&[8.0, 13.0, 6.0]).unwrap();
-        assert_close(&x, &[1.0, 2.0, 3.0], 1e-10);
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // Leading zero forces a row swap.
-        let a = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let x = a.solve(&[5.0, 7.0]).unwrap();
-        assert_close(&x, &[7.0, 5.0], 1e-12);
-    }
-
-    #[test]
-    fn solve_detects_singularity() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert!(matches!(a.solve(&[1.0, 2.0]), Err(SolveError::Singular { .. })));
-    }
-
-    #[test]
-    fn solve_rejects_bad_dimensions() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.solve(&[1.0, 2.0]),
-            Err(SolveError::DimensionMismatch { .. })
-        ));
-        let b = Matrix::identity(2);
-        assert!(matches!(
-            b.solve(&[1.0]),
-            Err(SolveError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn transpose_and_matmul() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t[(0, 1)], 4.0);
-        let ata = t.matmul(&a);
-        assert_eq!(ata.rows(), 3);
-        assert_eq!(ata[(0, 0)], 17.0); // 1 + 16
-        assert_eq!(ata[(2, 2)], 45.0); // 9 + 36
     }
 
     #[test]
@@ -368,34 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn lstsq_matches_normal_equations_on_random_problem() {
-        // Deterministic pseudo-random data.
-        let mut s = 1u64;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let m = 40;
-        let n = 4;
-        let mut data = Vec::with_capacity(m * n);
-        let mut b = Vec::with_capacity(m);
-        for _ in 0..m {
-            for _ in 0..n {
-                data.push(next());
-            }
-            b.push(next());
-        }
-        let a = Matrix::from_rows(m, n, data);
-        let x_qr = a.lstsq(&b).unwrap();
-        let ata = a.transpose().matmul(&a);
-        let atb = a.transpose().matvec(&b);
-        let x_ne = ata.solve(&atb).unwrap();
-        assert_close(&x_qr, &x_ne, 1e-8);
-    }
-
-    #[test]
     fn lstsq_rejects_underdetermined() {
-        let a = Matrix::zeros(2, 3);
+        let a = Matrix::from_rows(2, 3, vec![0.0; 6]);
         assert!(matches!(
             a.lstsq(&[0.0, 0.0]),
             Err(SolveError::Underdetermined { rows: 2, cols: 3 })

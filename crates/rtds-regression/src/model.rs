@@ -3,15 +3,11 @@
 //! `eex(st, d, u) = (a1·u² + a2·u + a3)·d² + (b1·u² + b2·u + b3)·d`
 //!
 //! where `d` is the data size in hundreds of tracks and `u` the CPU
-//! utilization in percent. Two fitting procedures are provided:
-//!
-//! * [`ExecLatencyModel::fit_two_stage`] — the paper's method: fit a
-//!   second-order polynomial in `d` at each profiled utilization (Figs.
-//!   2–3's `Y` curves), then fit each of the two `d`-coefficients as a
-//!   quadratic in `u`, combining everything "into a single regression
-//!   equation" (the `Y−` curves).
-//! * [`ExecLatencyModel::fit_direct`] — one six-parameter least-squares
-//!   solve over the full `(d, u)` grid; the ablation comparator.
+//! utilization in percent. [`ExecLatencyModel::fit_two_stage`] fits it by
+//! the paper's method: a second-order polynomial in `d` at each profiled
+//! utilization (Figs. 2–3's `Y` curves), then each of the two
+//! `d`-coefficients as a quadratic in `u`, combining everything "into a
+//! single regression equation" (the `Y−` curves).
 
 use crate::matrix::SolveError;
 use crate::polyfit::Polynomial;
@@ -148,36 +144,6 @@ impl ExecLatencyModel {
         Ok(model.with_stats_from(samples))
     }
 
-    /// Direct six-parameter least squares over all samples.
-    ///
-    /// # Errors
-    /// Needs at least 6 samples spanning enough of the `(d, u)` plane for
-    /// the design matrix to be full rank.
-    pub fn fit_direct(samples: &[LatencySample]) -> Result<Self, SolveError> {
-        if samples.len() < 6 {
-            return Err(SolveError::Underdetermined {
-                rows: samples.len(),
-                cols: 6,
-            });
-        }
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| {
-                let (d, u) = (s.d, s.u);
-                vec![u * u * d * d, u * d * d, d * d, u * u * d, u * d, d]
-            })
-            .collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        let fit = crate::linear::MultipleLinear::fit(&rows, &ys)?;
-        let c = &fit.coefficients;
-        let model = ExecLatencyModel {
-            a: [c[0], c[1], c[2]],
-            b: [c[3], c[4], c[5]],
-            stats: fit.stats,
-        };
-        Ok(model.with_stats_from(samples))
-    }
-
     /// Recomputes fit statistics of this model against a sample set.
     pub fn with_stats_from(mut self, samples: &[LatencySample]) -> Self {
         if samples.is_empty() {
@@ -251,30 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_fit_recovers_exact_surface() {
-        let m = ExecLatencyModel::fit_direct(&grid_samples()).unwrap();
-        let p = m.predict(7.0, 35.0);
-        let t = truth(7.0, 35.0);
-        assert!((p - t).abs() < 1e-6 * t, "{p} vs {t}");
-        assert!(m.stats.r2 > 0.999999);
-    }
-
-    #[test]
-    fn two_methods_agree_on_clean_data() {
-        let s = grid_samples();
-        let a = ExecLatencyModel::fit_two_stage(&s).unwrap();
-        let b = ExecLatencyModel::fit_direct(&s).unwrap();
-        for &u in &[25.0, 55.0] {
-            for &d in &[3.0, 9.0] {
-                assert!(
-                    (a.predict(d, u) - b.predict(d, u)).abs() < 1e-5,
-                    "methods diverge at ({d},{u})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn noisy_data_still_yields_good_fit() {
         let mut samples = grid_samples();
         // Deterministic multiplicative "noise" ±3%.
@@ -313,7 +255,6 @@ mod tests {
             .filter(|s| s.u < 30.0)
             .collect();
         assert!(ExecLatencyModel::fit_two_stage(&two_levels).is_err());
-        assert!(ExecLatencyModel::fit_direct(&grid_samples()[..5]).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The simulated distributed system: a thin composition root.
 //!
 //! [`Cluster`] binds the simulation kernel (`SimKernel`: event queue,
-//! clocks, RNG, virtual lanes, metrics, observability hooks) to the engine
+//! RNG, virtual lanes, metrics, observability hooks) to the engine
 //! components that implement the domain behavior — dispatch
 //! (`DispatchEngine`), network (`NetEngine`), faults (`FaultEngine`),
 //! background load (`LoadEngine`), and the task table (`TaskTable`) — the
@@ -48,7 +48,8 @@ pub struct ClusterConfig {
     pub scheduler: SchedulerKind,
     /// Shared-segment parameters (Table 1: 100 Mbps Ethernet).
     pub bus: BusConfig,
-    /// Clock-skew model.
+    /// Clock-skew parameters; only their RNG draws reach a run (see
+    /// [`crate::clock`]).
     pub clock: ClockConfig,
     /// Master seed; all stochastic components derive from it.
     pub seed: u64,
@@ -172,7 +173,7 @@ pub trait ClusterApi {
 
 /// The simulated distributed system: kernel + engines + controller.
 pub struct Cluster {
-    /// Pure mechanics: queue, clocks, RNG, lanes, metrics, observability.
+    /// Pure mechanics: queue, RNG, lanes, metrics, observability.
     kernel: SimKernel,
     /// Nodes (their ready queues carry each job's remaining demand), the
     /// job slab read at completions and node deaths, quantum-chain
@@ -220,8 +221,8 @@ impl Cluster {
         assert!(!config.sample_interval.is_zero(), "zero sample interval");
         assert!(config.max_in_flight >= 1, "max_in_flight must be >= 1");
         // Construction order is part of the byte-identity contract: the
-        // kernel seeds the RNG and draws the clock model first (the only
-        // construction-time draws), exactly as the monolith did.
+        // kernel seeds the RNG and makes the clock draws first (the only
+        // construction-time draws).
         let dispatch = DispatchEngine::new(config.n_nodes, &config.scheduler, bg_ff);
         let net = NetEngine::new(config.bus);
         let kernel = SimKernel::new(config);
@@ -500,7 +501,7 @@ impl Cluster {
 
     fn on_clock_sync(&mut self, now: SimTime) {
         let k = &mut self.kernel;
-        k.clocks.sync_round(now, &mut k.rng);
+        k.config.clock.draw_sync_round(k.config.n_nodes, &mut k.rng);
         let next = now + k.config.clock.sync_interval;
         if next <= SimTime::ZERO + k.config.horizon {
             k.queue.schedule(next, Ev::ClockSync);

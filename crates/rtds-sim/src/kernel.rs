@@ -2,7 +2,7 @@
 //!
 //! [`SimKernel`] owns everything a deterministic discrete-event run needs
 //! *regardless* of what is being simulated: the `(time, seq)`-ordered
-//! [`EventQueue`], the [`ClockModel`], the seeded [`SimRng`] streams, the
+//! [`EventQueue`], the seeded [`SimRng`] streams, the
 //! [`Lanes`] carrying the virtual-lane fast path, the optional
 //! observability hooks (the event trace, a [`BoundedSink`], and
 //! [`PerfState`]), the [`RunMetrics`] accumulator, and the reusable
@@ -26,7 +26,6 @@
 //! Everything here is `pub(crate)`: the kernel is an internal seam, not
 //! public API. The public surface is the `ClusterApi` trait.
 
-use crate::clock::ClockModel;
 use crate::cluster::ClusterConfig;
 use crate::event::EventQueue;
 use crate::ids::{NodeId, TaskId};
@@ -133,8 +132,6 @@ pub(crate) struct SimKernel {
     pub config: ClusterConfig,
     /// The global `(time, seq)`-ordered event queue.
     pub queue: EventQueue<Ev>,
-    /// Per-node clock-skew model.
-    pub clocks: ClockModel,
     /// Master RNG; all stochastic draws flow through here in a fixed
     /// program order (the byte-identity contract).
     pub rng: SimRng,
@@ -165,16 +162,15 @@ pub(crate) struct SimKernel {
 }
 
 impl SimKernel {
-    /// Builds the kernel for a validated config. Seeds the RNG and draws
-    /// the clock model from it — the first and only construction-time
-    /// draws, in the same order every run.
+    /// Builds the kernel for a validated config. Seeds the RNG and makes
+    /// the clock configuration's draws from it — the first and only
+    /// construction-time draws, in the same order every run.
     pub(crate) fn new(config: ClusterConfig) -> Self {
         let mut rng = SimRng::from_seed_stream(config.seed, 0);
-        let clocks = ClockModel::new(config.n_nodes, config.clock, &mut rng);
+        config.clock.draw_initial(config.n_nodes, &mut rng);
         SimKernel {
             config,
             queue: EventQueue::with_capacity(1024),
-            clocks,
             rng,
             lanes: Lanes::default(),
             event: (SimTime::ZERO, 0),

@@ -10,7 +10,9 @@
 //! * a shared 100 Mbps Ethernet segment carrying all inter-subtask
 //!   messages, with FIFO queueing (the paper's buffer delay) and
 //!   bandwidth-limited transmission (the paper's transmission delay);
-//! * per-node clocks kept synchronized Mills-style with bounded skew;
+//! * a global time base: every observation carries global simulated time,
+//!   and the configured Mills-style clock skew ([`clock::ClockConfig`])
+//!   only draws from the kernel RNG stream;
 //! * periodic pipeline tasks `T = [st1, m1, …, stn, mn]` whose subtasks can
 //!   be **replicated** at run time to split the data stream;
 //! * background load generators that create the "internal load situations"
@@ -81,7 +83,7 @@ pub mod trace;
 
 /// One-stop imports for typical users of the simulator.
 pub mod prelude {
-    pub use crate::clock::{ClockConfig, ClockModel};
+    pub use crate::clock::ClockConfig;
     pub use crate::cluster::{Cluster, ClusterApi, ClusterConfig, RunOutcome, WorkloadFn};
     pub use crate::control::{
         ControlAction, ControlContext, Controller, NullController, PeriodObservation,

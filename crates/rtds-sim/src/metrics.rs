@@ -283,22 +283,6 @@ impl RunMetrics {
             .collect()
     }
 
-    /// Longest run of consecutive decided-and-missed periods — the
-    /// worst sustained outage a mission would experience.
-    pub fn longest_miss_streak(&self) -> usize {
-        let mut best = 0;
-        let mut cur = 0;
-        for p in &self.periods {
-            if p.missed == Some(true) {
-                cur += 1;
-                best = best.max(cur);
-            } else if p.missed == Some(false) {
-                cur = 0;
-            }
-        }
-        best
-    }
-
     /// Summarizes the run. `replicable_stages` selects which stages'
     /// replica counts enter the replica average (the paper averages over
     /// the replicable subtasks only — the others are pinned at 1).
@@ -444,30 +428,6 @@ mod tests {
     #[test]
     fn latency_distribution_empty_run_is_none() {
         assert!(RunMetrics::default().latency_distribution().is_none());
-    }
-
-    #[test]
-    fn miss_streak_finds_longest_consecutive_run() {
-        let mk = |missed: Option<bool>| PeriodRecord {
-            instance: 0,
-            released: SimTime::ZERO,
-            tracks: 0,
-            replicas_per_stage: vec![],
-            end_to_end: None,
-            missed,
-            shed: false,
-        };
-        let mut m = RunMetrics::default();
-        for v in [
-            Some(true), Some(true), Some(false), Some(true), Some(true),
-            Some(true), None, Some(true), Some(false),
-        ] {
-            m.periods.push(mk(v));
-        }
-        // Undecided periods do not break a streak (the instance may still
-        // be running); streak of 3 then the None then 1 more = 4.
-        assert_eq!(m.longest_miss_streak(), 4);
-        assert_eq!(RunMetrics::default().longest_miss_streak(), 0);
     }
 
     #[test]

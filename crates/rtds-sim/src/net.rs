@@ -77,7 +77,8 @@ pub struct Message {
 impl Message {
     /// Buffer (queueing) delay experienced so far: Eq. (5)'s measured
     /// quantity.
-    pub fn buffer_delay(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn buffer_delay(&self) -> Option<SimDuration> {
         self.tx_start.map(|t| t.since(self.enqueued))
     }
 }
@@ -546,7 +547,8 @@ impl SharedBus {
     }
 
     /// True if a message is currently on the wire.
-    pub fn is_transmitting(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_transmitting(&self) -> bool {
         self.transmitting.is_some()
     }
 

@@ -63,7 +63,7 @@ pub struct PerfReport {
     /// by the background-load fast path (untimed).
     pub elided_bg_dispatches: u64,
     /// Draws taken from the kernel's RNG stream over the cluster's life
-    /// (the clock model at construction included).
+    /// (the clock draws at construction included).
     pub rng_draws: u64,
     /// Heap allocations observed across all control epochs, if an
     /// allocation probe was supplied.

@@ -68,7 +68,7 @@ impl SimTime {
     }
 
     /// Duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is actually later (useful when mixing skewed local clocks).
+    /// is actually later.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -176,12 +176,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked multiplication by an integer factor.
-    #[inline]
-    pub fn checked_mul(self, k: u64) -> Option<SimDuration> {
-        self.0.checked_mul(k).map(SimDuration)
     }
 
     /// Multiplies by a non-negative float factor, rounding to the nearest
@@ -483,7 +477,6 @@ mod tests {
     #[test]
     fn checked_ops_detect_overflow() {
         assert!(SimTime::MAX.checked_add(SimDuration::from_micros(1)).is_none());
-        assert!(SimDuration::MAX.checked_mul(2).is_none());
         assert_eq!(
             SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
             Some(SimTime::from_secs(1))

@@ -11,7 +11,6 @@
 use rtds::dynbench::app::filter_cost;
 use rtds::dynbench::profile::{profile_execution, ProfileConfig};
 use rtds::prelude::*;
-use rtds::regression::{cross_validate, FitMethod, PredictionBand};
 
 fn main() {
     // Training grid.
@@ -71,26 +70,5 @@ fn main() {
     println!(
         "(the paper's allocator only needs the forecast to rank replica \
          counts correctly, so errors of this size are operationally fine)"
-    );
-
-    // Cross-validated out-of-sample error of both fitting methods.
-    println!();
-    for (name, method) in [("two-stage (paper)", FitMethod::TwoStage), ("direct LSQ", FitMethod::Direct)] {
-        match cross_validate(&train, 5, method) {
-            Ok(cv) => println!(
-                "5-fold CV, {name:18}: R2 = {:.4}, RMSE = {:.2} ms",
-                cv.pooled.r2, cv.pooled.rmse
-            ),
-            Err(e) => println!("5-fold CV, {name}: {e}"),
-        }
-    }
-
-    // A conservative forecast band for slack-aware allocation.
-    let band = PredictionBand::from_residuals(&model, &train, 0.9);
-    println!();
-    println!(
-        "90% residual band: +/-{:.1} ms; a conservative forecast at (7500 tracks, 45%) is {:.1} ms",
-        band.half_width_ms,
-        band.upper_ms(model.predict(75.0, 45.0))
     );
 }
